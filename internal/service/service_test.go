@@ -100,8 +100,8 @@ func TestEnginesAgreeViaService(t *testing.T) {
 }
 
 // TestConcurrentMixedEngines is the acceptance test: >= 64 concurrent
-// requests mixing all engines against one shared cache, with hit-rate
-// and error-class counters observable afterwards. Run under -race this
+// requests mixing all engines against one shared cache, with cache and
+// error-class counters observable afterwards. Run under -race this
 // exercises every engine concurrently over shared programs.
 func TestConcurrentMixedEngines(t *testing.T) {
 	s := mustService(t)
@@ -112,46 +112,51 @@ func TestConcurrentMixedEngines(t *testing.T) {
 		": quad dup * dup * ; : main 7 quad . ;",
 		spinSource, // exhausts its budget: the limit class must show up
 	}
-	const perPair = 3 // 4 sources × 10 engines × 3 = 120 concurrent requests
-	total := perPair * len(sources) * len(s.Engines())
-	if total < 64 {
-		t.Fatalf("test misconfigured: only %d concurrent requests", total)
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, total)
-	for i := 0; i < perPair; i++ {
-		for _, src := range sources {
-			for _, e := range s.Engines() {
-				wg.Add(1)
-				go func(src string, e string) {
-					defer wg.Done()
-					req := Request{Source: src, Engine: e}
-					if src == spinSource {
-						req.MaxSteps = 10_000
-					}
-					resp, err := s.Run(context.Background(), req)
-					if src == spinSource {
-						if Classify(err) != ClassLimit {
-							errs <- fmt.Errorf("%s: spin classified %s, want limit", e, Classify(err))
+	// wave sends perPair requests for every source × engine pair at
+	// once and returns how many it sent.
+	wave := func(perPair int) int {
+		var wg sync.WaitGroup
+		errs := make(chan error, perPair*len(sources)*len(s.Engines()))
+		for i := 0; i < perPair; i++ {
+			for _, src := range sources {
+				for _, e := range s.Engines() {
+					wg.Add(1)
+					go func(src string, e string) {
+						defer wg.Done()
+						req := Request{Source: src, Engine: e}
+						if src == spinSource {
+							req.MaxSteps = 10_000
 						}
-						return
-					}
-					if err != nil {
-						errs <- fmt.Errorf("%s: %v", e, err)
-						return
-					}
-					if resp.Output == "" {
-						errs <- fmt.Errorf("%s: empty output for %q", e, src)
-					}
-				}(src, e)
+						resp, err := s.Run(context.Background(), req)
+						if src == spinSource {
+							if Classify(err) != ClassLimit {
+								errs <- fmt.Errorf("%s: spin classified %s, want limit", e, Classify(err))
+							}
+							return
+						}
+						if err != nil {
+							errs <- fmt.Errorf("%s: %v", e, err)
+							return
+						}
+						if resp.Output == "" {
+							errs <- fmt.Errorf("%s: empty output for %q", e, src)
+						}
+					}(src, e)
+				}
 			}
 		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		return perPair * len(sources) * len(s.Engines())
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+
+	const perPair = 3 // 4 sources × 11 registry engines × 3 = 132 concurrent requests
+	total := wave(perPair)
+	if total < 64 {
+		t.Fatalf("test misconfigured: only %d concurrent requests", total)
 	}
 
 	snap := s.Stats()
@@ -165,11 +170,10 @@ func TestConcurrentMixedEngines(t *testing.T) {
 		t.Errorf("cache misses %d, want %d (one compile per distinct source)",
 			snap.CacheMisses, len(sources))
 	}
+	// How many of the other lookups joined an in-flight compile rather
+	// than hitting depends on scheduling; together they are exact.
 	if got := snap.CacheHits + snap.CacheCoalesced; got != int64(total-len(sources)) {
 		t.Errorf("hits+coalesced %d, want %d", got, total-len(sources))
-	}
-	if snap.HitRate() < 0.9 {
-		t.Errorf("hit rate %.3f, want >= 0.9", snap.HitRate())
 	}
 	wantOK := int64(perPair * (len(sources) - 1) * len(s.Engines()))
 	if snap.Errors["ok"] != wantOK {
@@ -188,6 +192,18 @@ func TestConcurrentMixedEngines(t *testing.T) {
 		if es.Steps == 0 {
 			t.Errorf("engine %s: no steps recorded", e)
 		}
+	}
+
+	// Once the first wave has finished, every program is cached: a
+	// second concurrent wave must be all hits, however it is scheduled.
+	second := wave(1)
+	after := s.Stats()
+	if got := after.CacheHits - snap.CacheHits; got != int64(second) {
+		t.Errorf("second wave: %d hits, want %d", got, second)
+	}
+	if after.CacheMisses != snap.CacheMisses || after.CacheCoalesced != snap.CacheCoalesced {
+		t.Errorf("second wave: misses %d -> %d, coalesced %d -> %d, want both unchanged",
+			snap.CacheMisses, after.CacheMisses, snap.CacheCoalesced, after.CacheCoalesced)
 	}
 }
 

@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // This file implements the bytecode abstract interpretation that turns
@@ -164,8 +166,12 @@ func (f *Facts) Outcome() string {
 
 // Analyze runs the abstract interpretation over p and returns its
 // Facts. It never fails: structurally invalid programs come back
-// unproven with a pc -1 violation. Analyze is pure and deterministic;
-// callers cache the result per program (engine.FactsFor).
+// unproven with a pc -1 violation. Analyze is pure and deterministic:
+// its worklists visit word contexts in creation order and each
+// context's states in the order their pcs were first reached, so
+// every join, and with it every widening, happens in the same order
+// on every call. Callers cache the result per program
+// (engine.FactsFor).
 func Analyze(p *Program) *Facts {
 	return analyze(p, AnalysisDepthCap, AnalysisRDepthCap)
 }
@@ -206,9 +212,12 @@ func ivJoin(a, b interval) interval {
 // pcState is the abstract state on entry to one pc in one word
 // context: depth intervals relative to the word's entry.
 type pcState struct {
-	live  bool
-	d, r  interval
-	joins int
+	d, r   interval
+	joins  int32
+	pc     int32
+	proc   int32 // the owning context's id; 0 marks an unclaimed slot
+	next   int32 // analyzer.states index of this pc's state in another context; 0 = none
+	inWork bool  // on the runProc worklist
 }
 
 // proc is one analysis context: either the program's top level (the
@@ -216,10 +225,14 @@ type pcState struct {
 // The same pc can belong to several procs (a branch into another
 // word's body); it gets independent relative states in each.
 type proc struct {
+	id     int32 // 1 + its index in analyzer.procs
 	entry  int
 	framed bool // entered by OpCall (a return address sits below the frame)
+	queued bool // on run's or propagateAbs's worklist
 
-	states map[int]*pcState
+	// states lists this context's analyzer.states indices in the order
+	// their pcs were first reached: the fixed order every pass walks.
+	states []int32
 
 	// Summary: the join of the relative data depth at every frame-base
 	// exit, i.e. the word's net stack effect. hasExit false means the
@@ -233,21 +246,20 @@ type proc struct {
 	absJoins   int
 }
 
-func procID(entry int, framed bool) int {
-	id := entry << 1
-	if framed {
-		id |= 1
-	}
-	return id
-}
-
 type analyzer struct {
 	p          *Program
 	dcap, rcap int
 	dlim, rlim int // cap+1 sentinels
 
-	procs   map[int]*proc // procID -> context
-	created []*proc       // procs discovered since last drained by run()
+	procs    []*proc // creation order; procs[0] is the top level
+	framedAt []int32 // per pc: id of the word context entered there, 0 = none
+
+	// states holds every (context, pc) state. Slot pc belongs to the
+	// first context that reached pc; the rare pc that other contexts
+	// also reach gets side entries past len(Code), chained from its
+	// slot through next.
+	states []pcState
+	work   []int32 // runProc's worklist of states indices, reused
 
 	budget int
 	broke  bool // budget exhausted; result is unproven
@@ -285,31 +297,78 @@ func (a *analyzer) addR(x, y interval) interval {
 }
 
 func analyze(p *Program, dcap, rcap int) *Facts {
-	f := &Facts{DepthCap: dcap, RDepthCap: rcap, PCs: make([]PCFact, len(p.Code))}
+	n := len(p.Code)
+	f := &Facts{DepthCap: dcap, RDepthCap: rcap, PCs: make([]PCFact, n)}
 	if err := p.Validate(); err != nil {
 		f.Violations = []Violation{{PC: -1, Msg: "not analyzable: " + err.Error()}}
 		return f
 	}
 	a := &analyzer{
 		p: p, dcap: dcap, rcap: rcap, dlim: dcap + 1, rlim: rcap + 1,
-		procs:  make(map[int]*proc),
-		budget: analysisBudget,
+		framedAt: make([]int32, n),
+		states:   make([]pcState, n),
+		budget:   analysisBudget,
 	}
 	a.run()
 	a.collect(f)
 	return f
 }
 
-// getProc returns (creating if needed) the context for entry/framed.
-func (a *analyzer) getProc(entry int, framed bool) *proc {
-	id := procID(entry, framed)
-	ps, ok := a.procs[id]
-	if !ok {
-		ps = &proc{entry: entry, framed: framed, states: make(map[int]*pcState)}
-		a.procs[id] = ps
-		a.created = append(a.created, ps)
+func (a *analyzer) newProc(entry int, framed bool) *proc {
+	ps := &proc{id: int32(len(a.procs) + 1), entry: entry, framed: framed}
+	a.procs = append(a.procs, ps)
+	if framed {
+		a.framedAt[entry] = ps.id
 	}
 	return ps
+}
+
+// callee returns (creating if needed) the context of the word entered
+// at entry by OpCall.
+func (a *analyzer) callee(entry int) *proc {
+	if id := a.framedAt[entry]; id != 0 {
+		return a.procs[id-1]
+	}
+	return a.newProc(entry, true)
+}
+
+// stateOf returns the states index of ps's state at pc, or -1.
+func (a *analyzer) stateOf(ps *proc, pc int) int {
+	for i := pc; ; {
+		st := &a.states[i]
+		if st.proc == ps.id {
+			return i
+		}
+		if i = int(st.next); i == 0 {
+			return -1
+		}
+	}
+}
+
+// addState claims a state for ps at pc: the pc's own slot when no
+// context has reached it yet, a chained side entry otherwise.
+func (a *analyzer) addState(ps *proc, pc int) int {
+	si := pc
+	if a.states[pc].proc != 0 {
+		si = len(a.states)
+		a.states = append(a.states, pcState{next: a.states[pc].next})
+		a.states[pc].next = int32(si)
+	}
+	st := &a.states[si]
+	st.proc, st.pc = ps.id, int32(pc)
+	ps.states = append(ps.states, int32(si))
+	return si
+}
+
+// calls reports whether any state of caller is an OpCall of entry.
+func (a *analyzer) calls(caller *proc, entry int) bool {
+	for _, si := range caller.states {
+		ins := a.p.Code[a.states[si].pc]
+		if ins.Op == OpCall && int(ins.Arg) == entry {
+			return true
+		}
+	}
+	return false
 }
 
 // run is phase A: the summary fixpoint. Each word context is
@@ -318,40 +377,30 @@ func (a *analyzer) getProc(entry int, framed bool) *proc {
 // recursion converge (to summaries whose depth consequences phase B
 // then widens to "may overflow").
 func (a *analyzer) run() {
-	main := a.getProc(a.p.Entry, false)
-	a.created = nil // main is queued explicitly
+	main := a.newProc(a.p.Entry, false)
+	main.queued = true
 	dirty := []*proc{main}
-	queued := map[*proc]bool{main: true}
 	for len(dirty) > 0 && !a.broke {
 		ps := dirty[len(dirty)-1]
 		dirty = dirty[:len(dirty)-1]
-		queued[ps] = false
+		ps.queued = false
+		known := len(a.procs)
 		grew := a.runProc(ps)
 		// Words discovered by this round's OpCall transfers must be
 		// analyzed themselves before the result means anything.
-		for _, np := range a.created {
-			if !queued[np] {
-				queued[np] = true
-				dirty = append(dirty, np)
-			}
+		for _, np := range a.procs[known:] {
+			np.queued = true
+			dirty = append(dirty, np)
 		}
-		a.created = nil
 		if grew && ps.framed {
 			// This word's summary changed: every analyzed proc that
 			// calls it must recompute. Call edges are implicit in the
-			// states (an OpCall pc marked live), so rescan; proc
+			// states (an OpCall pc with a state), so rescan; proc
 			// counts are small.
 			for _, caller := range a.procs {
-				if queued[caller] {
-					continue
-				}
-				for pc, st := range caller.states {
-					if st.live && a.p.Code[pc].Op == OpCall &&
-						int(a.p.Code[pc].Arg) == ps.entry {
-						dirty = append(dirty, caller)
-						queued[caller] = true
-						break
-					}
+				if !caller.queued && a.calls(caller, ps.entry) {
+					caller.queued = true
+					dirty = append(dirty, caller)
 				}
 			}
 		}
@@ -359,21 +408,20 @@ func (a *analyzer) run() {
 	a.propagateAbs()
 }
 
-// joinState merges ns into the proc's state at pc, returning whether
-// anything changed; widening kicks in after widenAfter growing joins.
-func (a *analyzer) joinState(ps *proc, pc int, d, r interval) bool {
-	st, ok := ps.states[pc]
-	if !ok {
-		st = &pcState{}
-		ps.states[pc] = st
+// joinState merges (d, r) into the proc's state at pc, returning the
+// state's index and whether anything changed; widening kicks in after
+// widenAfter growing joins.
+func (a *analyzer) joinState(ps *proc, pc int, d, r interval) (int, bool) {
+	si := a.stateOf(ps, pc)
+	if si < 0 {
+		si = a.addState(ps, pc)
+		a.states[si].d, a.states[si].r = d, r
+		return si, true
 	}
-	if !st.live {
-		st.live, st.d, st.r = true, d, r
-		return true
-	}
+	st := &a.states[si]
 	nd, nr := ivJoin(st.d, d), ivJoin(st.r, r)
 	if nd == st.d && nr == st.r {
-		return false
+		return si, false
 	}
 	st.joins++
 	if st.joins > widenAfter {
@@ -384,7 +432,7 @@ func (a *analyzer) joinState(ps *proc, pc int, d, r interval) bool {
 		nr = widen(nr, st.r, a.rlim)
 	}
 	st.d, st.r = nd, nr
-	return true
+	return si, true
 }
 
 // widen sends whichever bounds of next moved past prev to the ±lim
@@ -404,40 +452,40 @@ func widen(next, prev interval, lim int) interval {
 func (a *analyzer) runProc(ps *proc) bool {
 	code := a.p.Code
 	n := len(code)
-	var work []int
-	inWork := make(map[int]bool)
-	push := func(pc int) {
-		if !inWork[pc] {
-			inWork[pc] = true
-			work = append(work, pc)
+	work := a.work[:0]
+	push := func(si int) {
+		if st := &a.states[si]; !st.inWork {
+			st.inWork = true
+			work = append(work, int32(si))
 		}
 	}
 	// (Re)seed: the entry at the frame-base state, plus every pc whose
 	// state survived a previous round — their outgoing edges must be
 	// replayed because a callee summary may have grown.
 	a.joinState(ps, ps.entry, interval{0, 0}, interval{0, 0})
-	for pc, st := range ps.states {
-		if st.live {
-			push(pc)
-		}
+	for _, si := range ps.states {
+		push(int(si))
 	}
 
 	oldNet, oldHas := ps.netD, ps.hasExit
 	flow := func(to int, d, r interval) {
-		if a.joinState(ps, to, d, r) {
-			push(to)
+		if si, changed := a.joinState(ps, to, d, r); changed {
+			push(si)
 		}
 	}
 
 	for len(work) > 0 {
 		if a.budget--; a.budget <= 0 {
 			a.broke = true
-			return false
+			break
 		}
-		pc := work[len(work)-1]
+		si := int(work[len(work)-1])
 		work = work[:len(work)-1]
-		inWork[pc] = false
-		st := ps.states[pc]
+		// A copy: flows below may grow a.states. Only the loop
+		// fall-through rereads the state, after its back edge's join.
+		st := a.states[si]
+		a.states[si].inWork = false
+		pc := int(st.pc)
 		ins := code[pc]
 		eff := EffectOf(ins.Op)
 
@@ -458,10 +506,10 @@ func (a *analyzer) runProc(ps *proc) bool {
 			// cancel). Fall-through: both controls popped.
 			flow(int(ins.Arg), d, r)
 			if pc+1 < n {
-				flow(pc+1, d, a.shiftR(st.r, -2))
+				flow(pc+1, d, a.shiftR(a.states[si].r, -2))
 			}
 		case OpCall:
-			callee := a.getProc(int(ins.Arg), true)
+			callee := a.callee(int(ins.Arg))
 			if callee.hasExit && pc+1 < n {
 				flow(pc+1, a.addD(st.d, callee.netD), st.r)
 			}
@@ -485,18 +533,20 @@ func (a *analyzer) runProc(ps *proc) bool {
 			}
 		}
 	}
-	return ps.netD != oldNet || ps.hasExit != oldHas
+	a.work = work
+	return !a.broke && (ps.netD != oldNet || ps.hasExit != oldHas)
 }
 
 // propagateAbs is phase B: absolute entry intervals per context, joined
 // over call sites, with widening so recursive cycles reach the
 // capacity sentinel instead of iterating forever.
 func (a *analyzer) propagateAbs() {
-	main := a.getProc(a.p.Entry, false)
+	code := a.p.Code
+	main := a.procs[0]
 	main.absLive = true
 	main.absD, main.absR = interval{0, 0}, interval{0, 0}
+	main.queued = true
 	work := []*proc{main}
-	queued := map[*proc]bool{main: true}
 	for len(work) > 0 && !a.broke {
 		if a.budget--; a.budget <= 0 {
 			a.broke = true
@@ -504,12 +554,14 @@ func (a *analyzer) propagateAbs() {
 		}
 		ps := work[len(work)-1]
 		work = work[:len(work)-1]
-		queued[ps] = false
-		for pc, st := range ps.states {
-			if !st.live || a.p.Code[pc].Op != OpCall {
+		ps.queued = false
+		for _, si := range ps.states {
+			st := &a.states[si]
+			ins := code[st.pc]
+			if ins.Op != OpCall {
 				continue
 			}
-			callee := a.getProc(int(a.p.Code[pc].Arg), true)
+			callee := a.callee(int(ins.Arg))
 			// The callee enters at the caller's depth here; its frame
 			// base sits above the pushed return address.
 			cd := a.addD(ps.absD, st.d)
@@ -532,8 +584,8 @@ func (a *analyzer) propagateAbs() {
 					changed = true
 				}
 			}
-			if changed && !queued[callee] {
-				queued[callee] = true
+			if changed && !callee.queued {
+				callee.queued = true
 				work = append(work, callee)
 			}
 		}
@@ -546,13 +598,8 @@ func (a *analyzer) propagateAbs() {
 func (a *analyzer) collect(f *Facts) {
 	code := a.p.Code
 	n := len(code)
-	seen := make(map[Violation]bool)
 	addV := func(pc int, format string, args ...any) {
-		v := Violation{PC: pc, Msg: fmt.Sprintf(format, args...)}
-		if !seen[v] {
-			seen[v] = true
-			f.Violations = append(f.Violations, v)
-		}
+		f.Violations = append(f.Violations, Violation{PC: pc, Msg: fmt.Sprintf(format, args...)})
 	}
 	if a.broke {
 		addV(-1, "analysis budget exceeded; program too adversarial to prove")
@@ -570,10 +617,9 @@ func (a *analyzer) collect(f *Facts) {
 		if !ps.absLive {
 			continue
 		}
-		for pc, st := range ps.states {
-			if !st.live {
-				continue
-			}
+		for _, si := range ps.states {
+			st := &a.states[si]
+			pc := int(st.pc)
 			ins := code[pc]
 			eff := EffectOf(ins.Op)
 			ad := a.addD(ps.absD, st.d)
@@ -615,7 +661,8 @@ func (a *analyzer) collect(f *Facts) {
 				}
 			case OpCall:
 				rpeak = max(rpeak, ar.hi+1)
-				if pc+1 >= n && a.getProc(int(ins.Arg), true).hasExit {
+				// A budget-cut analysis may not have created the callee.
+				if id := a.framedAt[ins.Arg]; pc+1 >= n && id != 0 && a.procs[id-1].hasExit {
 					addV(pc, "call return address %d is outside the code", pc+1)
 				}
 			default:
@@ -648,12 +695,15 @@ func (a *analyzer) collect(f *Facts) {
 		}
 	}
 
-	sort.Slice(f.Violations, func(i, j int) bool {
-		if f.Violations[i].PC != f.Violations[j].PC {
-			return f.Violations[i].PC < f.Violations[j].PC
+	// Contexts sharing a pc can report the same violation: sort, then
+	// drop the repeats.
+	slices.SortFunc(f.Violations, func(x, y Violation) int {
+		if c := cmp.Compare(x.PC, y.PC); c != 0 {
+			return c
 		}
-		return f.Violations[i].Msg < f.Violations[j].Msg
+		return strings.Compare(x.Msg, y.Msg)
 	})
+	f.Violations = slices.Compact(f.Violations)
 	f.MaxDepth, f.MaxRDepth = maxD, maxR
 	f.Proved = len(f.Violations) == 0
 }

@@ -96,7 +96,7 @@ func CheckTranslation(orig, opt *Program) error {
 	if !bytes.Equal(o.Data, t.Data) {
 		return fmt.Errorf("vm: checktranslation: initial memory differs")
 	}
-	v := &validator{o: o, t: t, seen: make(map[pcPair]bool)}
+	v := &validator{o: o, t: t, seen: make(map[pcPair]bool), ctx: epCtx{terms: make(map[term]*term)}}
 	v.enqueue(pcPair{o.Entry, t.Entry})
 	for len(v.queue) > 0 {
 		pair := v.queue[len(v.queue)-1]
@@ -120,7 +120,16 @@ type validator struct {
 	seen     map[pcPair]bool
 	queue    []pcPair
 	overflow bool
+
+	// ctx is the hash-cons table, cleared before each pair so every
+	// pair's terms are its own, as if freshly allocated.
+	ctx epCtx
 }
+
+// ctxReuseMax bounds the term count of a table that is cleared and
+// reused; a larger one is dropped, so one big episode does not make
+// every later clear pay for its capacity.
+const ctxReuseMax = 1024
 
 func (v *validator) enqueue(p pcPair) {
 	if v.seen[p] {
@@ -135,7 +144,12 @@ func (v *validator) enqueue(p pcPair) {
 }
 
 func (v *validator) checkPair(pair pcPair) error {
-	ctx := &epCtx{terms: make(map[term]*term)}
+	ctx := &v.ctx
+	if len(ctx.terms) > ctxReuseMax {
+		ctx.terms = make(map[term]*term)
+	} else {
+		clear(ctx.terms)
+	}
 	cap := 4*(len(v.o.Code)+len(v.t.Code)) + 256
 	eo, err := runEpisode(ctx, v.o, pair.o, cap)
 	if err != nil {
@@ -313,12 +327,12 @@ type event struct {
 type enderKind uint8
 
 const (
-	eHalt     enderKind = iota
-	eJump               // backward unconditional transfer
-	eCond               // undecided 0branch
-	eCall               // call to a word with control flow
-	eExit               // word return popping below the episode frame
-	eLoop               // do-loop back edge decision
+	eHalt enderKind = iota
+	eJump           // backward unconditional transfer
+	eCond           // undecided 0branch
+	eCall           // call to a word with control flow
+	eExit           // word return popping below the episode frame
+	eLoop           // do-loop back edge decision
 	ePlusLoop
 )
 

@@ -343,10 +343,10 @@ func optimizeOnce(src *Program) (*roundResult, bool) {
 		return nil, false
 	}
 
-	map1 := make([]int, n)    // input pc -> stage-1 pc
-	var code1 []Instr         // stage-1 code
-	var origin1 []int         // stage-1 pc -> input pc it came from
-	var original1 []bool      // stage-1 pc is the instruction's own slot
+	map1 := make([]int, n) // input pc -> stage-1 pc
+	var code1 []Instr      // stage-1 code
+	var origin1 []int      // stage-1 pc -> input pc it came from
+	var original1 []bool   // stage-1 pc is the instruction's own slot
 	for pc, ins := range src.Code {
 		map1[pc] = len(code1)
 		if bl, ok := inline[pc]; ok {
@@ -527,7 +527,7 @@ var cmpComplement = map[Opcode]Opcode{
 // mark callbacks. Knowledge is reset at every branch target and after
 // every (original) control instruction, so each rewrite is justified
 // entirely by the instructions of one segment.
-func simPass(code []Instr, targets map[int]bool, markRewrite, markFold func(int, OptPass)) {
+func simPass(code []Instr, targets []bool, markRewrite, markFold func(int, OptPass)) {
 	var sim []simEnt
 	reset := func() { sim = sim[:0] }
 	pop := func() simEnt {

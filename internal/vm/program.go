@@ -110,27 +110,34 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// BranchTargets returns the set of code indices that are targets of
-// some branch, call or loop instruction, plus the entry point. Static
-// stack caching reconciles the cache state at exactly these points
-// (the paper's "control flow convention", §5).
-func (p *Program) BranchTargets() map[int]bool {
-	targets := map[int]bool{p.Entry: true}
+// BranchTargets reports, per code index, whether it is the target of
+// some branch, call or loop instruction, or the entry point: the
+// result has len(p.Code) entries, indexed by pc. Targets outside the
+// code (only an invalid program has them) are left out. Static stack
+// caching reconciles the cache state at exactly these points (the
+// paper's "control flow convention", §5).
+func (p *Program) BranchTargets() []bool {
+	n := len(p.Code)
+	targets := make([]bool, n)
+	mark := func(pc int) {
+		if pc >= 0 && pc < n {
+			targets[pc] = true
+		}
+	}
+	mark(p.Entry)
 	for pc, ins := range p.Code {
 		eff := EffectOf(ins.Op)
 		if eff.Arg == ArgTarget {
-			targets[int(ins.Arg)] = true
+			mark(int(ins.Arg))
 			// The fall-through successor of a conditional branch or
 			// call is also a join point: control can reach it both in
 			// a straight line and, for call returns, from OpExit.
-			if ins.Op != OpBranch && pc+1 < len(p.Code) {
-				targets[pc+1] = true
+			if ins.Op != OpBranch {
+				mark(pc + 1)
 			}
 		}
 		if ins.Op == OpExit || ins.Op == OpHalt {
-			if pc+1 < len(p.Code) {
-				targets[pc+1] = true
-			}
+			mark(pc + 1)
 		}
 	}
 	return targets

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -351,6 +352,23 @@ func TestBranchTargets(t *testing.T) {
 	}
 	if targets[3] {
 		t.Errorf("pc 3 should not be a target")
+	}
+}
+
+func TestBranchTargetsOutOfRange(t *testing.T) {
+	// An invalid program's targets and entry may lie outside the code:
+	// they are left out, and the disassembler still renders it.
+	p := &Program{Code: []Instr{
+		{Op: OpBranchZero, Arg: 7},
+		{Op: OpBranch, Arg: -3},
+		{Op: OpHalt},
+	}, Entry: 9}
+	targets := p.BranchTargets()
+	if want := []bool{false, true, false}; !slices.Equal(targets, want) {
+		t.Errorf("targets %v, want %v", targets, want)
+	}
+	if out := Disassemble(p); !strings.Contains(out, "0branch ->7") {
+		t.Errorf("disassembly lacks the out-of-range branch:\n%s", out)
 	}
 }
 

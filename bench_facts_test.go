@@ -1,134 +1,83 @@
 package stackcache
 
-// Elision benchmark: every registered engine over a proved workload,
-// once with analysis facts attached (the check-elided fast path) and
-// once with the elision kill switch thrown (vm.NoFacts, the checked
-// path). The wall-clock companion to the elision differential tests in
-// facts_test.go: those prove the two paths are observably identical,
-// this measures what the proof buys.
+// Elision benchmark: every registered engine over the proved paper
+// programs in the form vmd serves (an artifact.Store with Quicken and
+// Optimize, as the service builds them), once with the unit's analysis
+// facts attached and once with the elision kill switch thrown
+// (vm.NoFacts, the checked path). The wall-clock companion to the
+// elision differential tests in facts_test.go: those prove the two
+// paths observably identical, this measures what the proof buys. Only
+// the token/threaded/traced handler table and the compiled engine have
+// a check-elided path; every other engine runs its one checked loop in
+// both modes, so its pair measures the noise floor.
 //
-// Running
+// For paired rounds, build the test binary once and alternate the two
+// modes of one engine and program on one CPU, e.g.
 //
-//	WRITE_BENCH_JSON=1 go test -run TestWriteBenchPR5 .
-//
-// re-measures the sweep and rewrites BENCH_PR5.json at the repository
-// root (same schema as BENCH_PR4.json, two points per engine).
+//	go test -c -o elision.test .
+//	taskset -c 1 ./elision.test -test.run '^$' -test.benchtime 200ms \
+//	    -test.bench 'Elision/token/cross/(elided|checked)$'
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
+	"stackcache/internal/artifact"
 	"stackcache/internal/engine"
+	"stackcache/internal/forth"
 	"stackcache/internal/interp"
 	"stackcache/internal/vm"
+	"stackcache/internal/workloads"
 )
 
+// elisionWorkloads are the paper programs vm.Analyze proves; gray is
+// recursive, stays unproven and would run checked in both modes.
+var elisionWorkloads = []string{"compile", "prims2x", "cross"}
+
 func BenchmarkElision(b *testing.B) {
-	p := benchProgram(b, "sieve")
-	if !engine.FactsFor(p).Proved {
-		b.Fatal("sieve unproven; elision benchmark needs a proved workload")
-	}
-	for _, e := range engine.All() {
-		for _, mode := range []string{"elided", "checked"} {
-			spec := interp.ExecSpec{}
-			if mode == "checked" {
-				spec.Facts = vm.NoFacts
-			}
-			b.Run(e.Name()+"/"+mode, func(b *testing.B) {
-				var steps int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m := interp.NewMachine(p)
-					if err := m.ApplySpec(spec); err != nil {
-						b.Fatal(err)
-					}
-					if err := e.Run(m); err != nil {
-						b.Fatal(err)
-					}
-					steps = m.Steps
-				}
-				reportPerInst(b, steps)
-				b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
-			})
+	store := artifact.NewStore(artifact.Config{
+		Quicken: true, Optimize: true, Fingerprint: "quicken=true,optimize=true",
+	})
+	opts := forth.Options{}
+	units := make([]*artifact.Unit, len(elisionWorkloads))
+	for i, name := range elisionWorkloads {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			b.Fatalf("workload %s missing", name)
 		}
-	}
-}
-
-// TestWriteBenchPR5 regenerates BENCH_PR5.json when WRITE_BENCH_JSON
-// is set; otherwise it only checks the committed file parses and has
-// one elided plus one checked point per registered engine.
-func TestWriteBenchPR5(t *testing.T) {
-	const path = "BENCH_PR5.json"
-	if os.Getenv("WRITE_BENCH_JSON") == "" {
-		data, err := os.ReadFile(path)
+		u, _, err := store.GetOrBuild("src:"+artifact.SourceHash(opts.CacheKey(), w.Source),
+			func() (*vm.Program, error) { return forth.CompileWithOptions(w.Source, opts) })
 		if err != nil {
-			t.Skipf("no committed trajectory yet: %v", err)
+			b.Fatal(err)
 		}
-		var rep benchPR4Report
-		if err := json.Unmarshal(data, &rep); err != nil {
-			t.Fatalf("committed BENCH_PR5.json is invalid: %v", err)
+		if !u.Facts().Proved {
+			b.Fatalf("%s unproven; the elision benchmark needs proved programs", name)
 		}
-		if len(rep.Points) != 2*len(engine.Names()) {
-			t.Fatalf("committed BENCH_PR5.json has %d points, want 2 per engine (%d)",
-				len(rep.Points), 2*len(engine.Names()))
-		}
-		return
+		units[i] = u
 	}
-
-	p := benchProgram(t, "sieve")
-	if !engine.FactsFor(p).Proved {
-		t.Fatal("sieve unproven; elision benchmark needs a proved workload")
-	}
-	rep := benchPR4Report{
-		Bench: "elision",
-		Description: "fixed-work sieve runs per registered engine, facts " +
-			"attached (check-elided fast path) vs vm.NoFacts (checked path)",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	const runs = 20
 	for _, e := range engine.All() {
-		for _, mode := range []string{"elided", "checked"} {
-			spec := interp.ExecSpec{}
-			if mode == "checked" {
-				spec.Facts = vm.NoFacts
-			}
-			run := func() int64 {
-				m := interp.NewMachine(p)
-				if err := m.ApplySpec(spec); err != nil {
-					t.Fatalf("%s/%s: %v", e.Name(), mode, err)
+		for k, u := range units {
+			for _, mode := range []string{"elided", "checked"} {
+				spec := interp.ExecSpec{Facts: u.Facts()}
+				if mode == "checked" {
+					spec.Facts = vm.NoFacts
 				}
-				if err := e.Run(m); err != nil {
-					t.Fatalf("%s/%s: %v", e.Name(), mode, err)
-				}
-				return m.Steps
+				b.Run(e.Name()+"/"+elisionWorkloads[k]+"/"+mode, func(b *testing.B) {
+					m := new(interp.Machine)
+					var steps int64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						m.Rebind(u.Prog)
+						if err := m.ApplySpec(spec); err != nil {
+							b.Fatal(err)
+						}
+						if err := e.Run(m); err != nil {
+							b.Fatal(err)
+						}
+						steps = m.Steps
+					}
+					reportPerInst(b, steps)
+				})
 			}
-			steps := run() // warm run: plan compilation, analysis cache
-			start := time.Now()
-			for i := 0; i < runs; i++ {
-				run()
-			}
-			elapsed := time.Since(start)
-			total := steps * runs
-			rep.Points = append(rep.Points, enginePoint{
-				Engine:      e.Name(),
-				Workload:    "sieve/" + mode,
-				Runs:        runs,
-				Steps:       steps,
-				Seconds:     elapsed.Seconds(),
-				StepsPerSec: float64(total) / elapsed.Seconds(),
-				NsPerInst:   float64(elapsed.Nanoseconds()) / float64(total),
-			})
 		}
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -1,12 +1,14 @@
 package stackcache
 
 // Cross-engine differential tests for check elision: a proved program
-// runs each engine's check-elided fast path, and that path must be
-// observably indistinguishable from the fully checked one. The elision
-// kill switch (vm.NoFacts pinned through ExecSpec.Facts) runs the same
+// runs the check-elided path of the engines that have one (token,
+// threaded, traced, compiled), and that path must be observably
+// indistinguishable from the fully checked one. The elision kill
+// switch (vm.NoFacts pinned through ExecSpec.Facts) runs the same
 // engine's checked path over the same program, so each engine is
 // differenced against itself — the sharpest possible test that the
-// fast paths changed performance and nothing else.
+// fast paths changed performance and nothing else. Engines without an
+// elided path run checked both times and ride along as controls.
 
 import (
 	"testing"
@@ -66,14 +68,13 @@ func TestWorkloadsProved(t *testing.T) {
 }
 
 // TestElisionDifferentialAllEngines runs every workload on every
-// engine twice — facts attached (proved programs take the fast path)
-// and facts pinned to NoFacts (checked path) — and requires identical
-// snapshots. The set includes fib, so the unproven path (where both
-// runs are checked) rides along as a control. The full-size workloads
-// matter here, not just the micros: their deep stacks drive the
-// cache-overflow spill transitions in the generated engines, where a
-// Go 1.24 optimizer bug once corrupted sp in the check-elided copy
-// (see internal/gen's spill method) — the micros never spill.
+// engine twice — facts attached (proved programs take the fast path
+// where an engine has one) and facts pinned to NoFacts (checked path)
+// — and requires identical snapshots. The set includes fib, so the
+// unproven path (where both runs are checked) rides along as a
+// control. The full-size workloads matter here, not just the micros:
+// their deep stacks drive the cache-overflow spill transitions of the
+// caching engines, which the micros never reach.
 func TestElisionDifferentialAllEngines(t *testing.T) {
 	for _, w := range workloads.All() {
 		p, err := w.Compile()

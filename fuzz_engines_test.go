@@ -111,8 +111,9 @@ func FuzzEngines(f *testing.F) {
 	f.Add([]byte{byte(vm.OpDrop), 0, byte(vm.OpHalt), 0},
 		[]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	// Provable programs, so the corpus definitely exercises the
-	// check-elided fast paths (vm.Analyze proves them; the elision
-	// differential below compares them against the checked paths):
+	// check-elided fast paths of token, threaded, traced and compiled
+	// (vm.Analyze proves them; the elision differential below compares
+	// them against the checked paths):
 	// straight-line arithmetic, a call/exit pair, and a counted loop.
 	f.Add([]byte{byte(vm.OpLit), 6, byte(vm.OpLit), 7, byte(vm.OpMul), 0,
 		byte(vm.OpDot), 0, byte(vm.OpHalt), 0}, []byte{})
@@ -286,11 +287,11 @@ func FuzzEngines(f *testing.F) {
 
 		// Elision differential: every engine differenced against
 		// itself with the elision kill switch thrown. The runs above
-		// attach analysis facts (proved programs take each engine's
-		// check-elided fast path); pinning vm.NoFacts forces the
-		// checked path over the same program and spec, and the two
-		// must be observably identical — same snapshot or the same
-		// error — whatever the analysis concluded.
+		// attach analysis facts (proved programs take the check-elided
+		// fast path of the engines that have one); pinning vm.NoFacts
+		// forces the checked path over the same program and spec, and
+		// the two must be observably identical — same snapshot or the
+		// same error — whatever the analysis concluded.
 		specNo := spec
 		specNo.Facts = vm.NoFacts
 		for _, e := range allEngines {

@@ -82,11 +82,6 @@ func RunOn(m *interp.Machine, pol core.MinimalPolicy) (*Result, error) {
 		limit = m.MaxSteps
 	}
 
-	// Proved programs (vm.Analyze via the machine's Facts) skip the
-	// engine loop's data-stack bounds branches; everything Apply checks
-	// (division, memory, return stack, output) stays dynamic.
-	checked := !m.ElideChecks()
-
 	// flush spills the cached items into the machine stack, for halt
 	// and error paths. The cache extends the stack beyond m.Stack's
 	// capacity, so a deep-stack halt can overflow here; error paths
@@ -94,7 +89,7 @@ func RunOn(m *interp.Machine, pol core.MinimalPolicy) (*Result, error) {
 	// whatever did not fit.
 	flush := func() error {
 		for i := 0; i < c; i++ {
-			if checked && m.SP == len(m.Stack) {
+			if m.SP == len(m.Stack) {
 				c = 0
 				return failAt(m, "stack overflow")
 			}
@@ -155,7 +150,7 @@ func RunOn(m *interp.Machine, pol core.MinimalPolicy) (*Result, error) {
 			fromMem = fromRegs - c
 			fromRegs = c
 		}
-		if checked && fromMem > m.SP {
+		if fromMem > m.SP {
 			flush()
 			return res, failAt(m, "stack underflow")
 		}
@@ -188,7 +183,7 @@ func RunOn(m *interp.Machine, pol core.MinimalPolicy) (*Result, error) {
 			copy(conceptual[rem:], outs[:nout])
 			spill := newDepth - tr.NewDepth
 			for i := 0; i < spill; i++ {
-				if checked && m.SP == len(m.Stack) {
+				if m.SP == len(m.Stack) {
 					flush()
 					return res, failAt(m, "stack overflow")
 				}

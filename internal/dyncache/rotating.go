@@ -50,16 +50,12 @@ func RunRotatingOn(m *interp.Machine, pol core.RotatingPolicy) (*Result, error) 
 
 	at := func(off int) *vm.Cell { return &regs[(base+off)%n] }
 
-	// See RunOn: proved programs skip the loop's data-stack bounds
-	// branches.
-	checked := !m.ElideChecks()
-
 	// flush spills the cached items into the machine stack; see the
 	// comment in RunOn — a deep-stack halt can overflow here, and
 	// error paths ignore the returned error.
 	flush := func() error {
 		for i := 0; i < c; i++ {
-			if checked && m.SP == len(m.Stack) {
+			if m.SP == len(m.Stack) {
 				c = 0
 				return failAt(m, "stack overflow")
 			}
@@ -112,7 +108,7 @@ func RunRotatingOn(m *interp.Machine, pol core.RotatingPolicy) (*Result, error) 
 			fromMem = fromRegs - c
 			fromRegs = c
 		}
-		if checked && fromMem > m.SP {
+		if fromMem > m.SP {
 			flush()
 			return res, failAt(m, "stack underflow")
 		}
@@ -150,7 +146,7 @@ func RunRotatingOn(m *interp.Machine, pol core.RotatingPolicy) (*Result, error) 
 				spillOld = rem
 			}
 			for i := 0; i < spillOld; i++ {
-				if checked && m.SP == len(m.Stack) {
+				if m.SP == len(m.Stack) {
 					flush()
 					return res, failAt(m, "stack overflow")
 				}
@@ -159,7 +155,7 @@ func RunRotatingOn(m *interp.Machine, pol core.RotatingPolicy) (*Result, error) 
 			}
 			// Excess results beyond the register file (tiny caches).
 			for i := 0; i < spill-spillOld; i++ {
-				if checked && m.SP == len(m.Stack) {
+				if m.SP == len(m.Stack) {
 					flush()
 					return res, failAt(m, "stack overflow")
 				}

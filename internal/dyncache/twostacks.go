@@ -92,16 +92,12 @@ func RunTwoStacksOn(m *interp.Machine, pol TwoStackPolicy) (*TwoStackResult, err
 		limit = m.MaxSteps
 	}
 
-	// See RunOn: proved programs skip the loop's data-stack bounds
-	// branches.
-	checked := !m.ElideChecks()
-
 	// flush spills the cached items into the machine stack; see the
 	// comment in RunOn — a deep-stack halt can overflow here, and
 	// error paths ignore the returned error.
 	flush := func() error {
 		for i := 0; i < c; i++ {
-			if checked && m.SP == len(m.Stack) {
+			if m.SP == len(m.Stack) {
 				c = 0
 				return failAt(m, "stack overflow")
 			}
@@ -202,7 +198,7 @@ func RunTwoStacksOn(m *interp.Machine, pol TwoStackPolicy) (*TwoStackResult, err
 			fromMem = fromRegs - c
 			fromRegs = c
 		}
-		if checked && fromMem > m.SP {
+		if fromMem > m.SP {
 			flush()
 			return res, failAt(m, "stack underflow")
 		}
@@ -231,7 +227,7 @@ func RunTwoStacksOn(m *interp.Machine, pol TwoStackPolicy) (*TwoStackResult, err
 			copy(conceptual[rem:], outs[:nout])
 			spill := newDepth - tr.NewDepth
 			for i := 0; i < spill; i++ {
-				if checked && m.SP == len(m.Stack) {
+				if m.SP == len(m.Stack) {
 					flush()
 					return res, failAt(m, "stack overflow")
 				}

@@ -21,8 +21,8 @@ import (
 func init() {
 	Register("switch", func(Policies) Engine { return &runFunc{"switch", interp.RunSwitch} })
 	Register("compiled", func(Policies) Engine { return &compiledEngine{} })
-	Register("token", func(Policies) Engine { return &runFunc{"token", interp.RunToken} })
-	Register("threaded", func(Policies) Engine { return &runFunc{"threaded", interp.RunThreaded} })
+	Register("token", func(Policies) Engine { return &runFunc{"token", withFacts(interp.RunToken)} })
+	Register("threaded", func(Policies) Engine { return &runFunc{"threaded", withFacts(interp.RunThreaded)} })
 	Register("traced", func(Policies) Engine { return Traced(nil) })
 	Register("dynamic", func(p Policies) Engine { return dynamicEngine{p.Dynamic} })
 	Register("rotating", func(p Policies) Engine { return rotatingEngine{p.Rotating} })
@@ -42,9 +42,16 @@ type runFunc struct {
 
 func (r *runFunc) Name() string { return r.name }
 
-func (r *runFunc) Run(m *interp.Machine) error {
-	attachFacts(m)
-	return r.run(m)
+func (r *runFunc) Run(m *interp.Machine) error { return r.run(m) }
+
+// withFacts wraps the run function of an engine with a check-elided
+// path (the token handler table) so each run sees the program's
+// analysis facts.
+func withFacts(run func(*interp.Machine) error) func(*interp.Machine) error {
+	return func(m *interp.Machine) error {
+		attachFacts(m)
+		return run(m)
+	}
 }
 
 // tracedEngine is the token interpreter with a per-instruction visit
@@ -76,13 +83,11 @@ type dynamicEngine struct{ pol core.MinimalPolicy }
 func (e dynamicEngine) Name() string { return "dynamic" }
 
 func (e dynamicEngine) Run(m *interp.Machine) error {
-	attachFacts(m)
 	_, err := dyncache.RunOn(m, e.pol)
 	return err
 }
 
 func (e dynamicEngine) RunCounted(m *interp.Machine) (core.Counters, error) {
-	attachFacts(m)
 	res, err := dyncache.RunOn(m, e.pol)
 	if res == nil {
 		return core.Counters{}, err
@@ -97,13 +102,11 @@ type rotatingEngine struct{ pol core.RotatingPolicy }
 func (e rotatingEngine) Name() string { return "rotating" }
 
 func (e rotatingEngine) Run(m *interp.Machine) error {
-	attachFacts(m)
 	_, err := dyncache.RunRotatingOn(m, e.pol)
 	return err
 }
 
 func (e rotatingEngine) RunCounted(m *interp.Machine) (core.Counters, error) {
-	attachFacts(m)
 	res, err := dyncache.RunRotatingOn(m, e.pol)
 	if res == nil {
 		return core.Counters{}, err
@@ -118,13 +121,11 @@ type twoStacksEngine struct{ pol dyncache.TwoStackPolicy }
 func (e twoStacksEngine) Name() string { return "twostacks" }
 
 func (e twoStacksEngine) Run(m *interp.Machine) error {
-	attachFacts(m)
 	_, err := dyncache.RunTwoStacksOn(m, e.pol)
 	return err
 }
 
 func (e twoStacksEngine) RunCounted(m *interp.Machine) (core.Counters, error) {
-	attachFacts(m)
 	res, err := dyncache.RunTwoStacksOn(m, e.pol)
 	if res == nil {
 		return core.Counters{}, err
@@ -178,7 +179,6 @@ func (e *staticEngine) Prepare(u *artifact.Unit) error {
 }
 
 func (e *staticEngine) Run(m *interp.Machine) error {
-	attachFacts(m)
 	plan, err := e.planFor(m.Prog)
 	if err != nil {
 		return err
@@ -188,7 +188,6 @@ func (e *staticEngine) Run(m *interp.Machine) error {
 }
 
 func (e *staticEngine) RunCounted(m *interp.Machine) (core.Counters, error) {
-	attachFacts(m)
 	plan, err := e.planFor(m.Prog)
 	if err != nil {
 		return core.Counters{}, err

@@ -65,10 +65,11 @@ type Machine struct {
 	Steps int64
 
 	// Facts, when non-nil, holds the abstract-interpretation result for
-	// Prog (vm.Analyze). Engines consult ElideChecks to decide whether
-	// the stack bounds checks may be skipped for this run. Setting
-	// Facts to vm.NoFacts (never Proved) pins an execution to the
-	// checked path regardless of what any engine-level cache knows.
+	// Prog (vm.Analyze). Engines with a check-elided path consult
+	// ElideChecks to decide whether the stack bounds checks may be
+	// skipped for this run. Setting Facts to vm.NoFacts (never Proved)
+	// pins an execution to the checked path regardless of what any
+	// engine-level cache knows.
 	Facts *vm.Facts
 }
 

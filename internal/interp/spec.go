@@ -36,9 +36,11 @@ type ExecSpec struct {
 
 	// Facts, when non-nil, is the analysis result for the program this
 	// spec will run (vm.Analyze). Callers that analyze once per cached
-	// program (the service layer) pass it here so every engine sees it;
-	// when nil, engines fall back to their own per-program analysis
-	// cache. Pass vm.NoFacts to force the checked path.
+	// program (the service layer) pass it here; when nil, the engines
+	// with a check-elided path (token, threaded, traced, compiled) look
+	// the facts up in their per-program analysis cache. The other
+	// engines always run checked and ignore it. Pass vm.NoFacts to
+	// force the checked path.
 	Facts *vm.Facts
 }
 

@@ -8,9 +8,6 @@ import "stackcache/internal/vm"
 // the paper notes is the main advantage switch dispatch has over call
 // threading in C; in Go the compiler enregisters them when it can.
 func RunSwitch(m *Machine) error {
-	if m.ElideChecks() {
-		return runSwitchFast(m)
-	}
 	code := m.Prog.Code
 	st := m.Stack
 	rs := m.RSt

@@ -10,9 +10,9 @@ import (
 )
 
 // TestAnalysisReported checks that responses carry the abstract
-// interpreter's verdict: straight-line/bounded programs are proved
-// (and ran check-elided), data-dependent recursion stays unproven
-// (and ran fully checked), and the metrics registry counts both.
+// interpreter's verdict: straight-line/bounded programs are proved,
+// data-dependent recursion stays unproven, and the metrics registry
+// counts both.
 func TestAnalysisReported(t *testing.T) {
 	w, ok := workloads.ByName("fib")
 	if !ok {
@@ -59,9 +59,8 @@ func TestAnalysisReported(t *testing.T) {
 }
 
 // TestAnalysisAgreesAcrossEngines runs one proved program on every
-// engine via the service (so proved executions take each engine's
-// check-elided fast path) and checks results match the checked
-// reference established by TestEnginesAgreeViaService's machinery.
+// engine via the service (so the engines with a check-elided path take
+// it) and checks results match the switch engine's checked reference.
 func TestAnalysisAgreesAcrossEngines(t *testing.T) {
 	w, ok := workloads.ByName("sieve")
 	if !ok {

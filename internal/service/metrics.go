@@ -150,8 +150,7 @@ var optPassLabels = [vm.NumOptPasses]string{
 }
 
 // observeAnalysis records one execution by the abstract interpreter's
-// verdict for its program: proved programs ran check-elided, unproven
-// ones kept every dynamic check.
+// verdict for its program (see Response.Analysis).
 func (m *Metrics) observeAnalysis(proved bool) {
 	if proved {
 		m.analysisProved.Add(1)
@@ -233,8 +232,8 @@ type Snapshot struct {
 	CacheSize      int   `json:"cache_size"`
 
 	// AnalysisProved and AnalysisUnproven count executions by the
-	// abstract interpreter's verdict for their program (proved
-	// executions ran with stack bounds checks elided).
+	// abstract interpreter's verdict for their program (see
+	// Response.Analysis for which engines act on a proof).
 	AnalysisProved   int64 `json:"analysis_proved"`
 	AnalysisUnproven int64 `json:"analysis_unproven"`
 

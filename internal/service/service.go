@@ -114,10 +114,6 @@ type Config struct {
 	// served. Off by default.
 	Optimize bool
 
-	// Policies configures the caching engines. Zero means
-	// engine.DefaultPolicies.
-	Policies engine.Policies
-
 	// CacheDir, when non-empty, enables the artifact store's on-disk
 	// tier: every compiled program's unit (quickened bytecode +
 	// analysis facts, checksummed) is persisted there, and a restarted
@@ -154,9 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchInputs <= 0 {
 		c.MaxBatchInputs = 64
-	}
-	if c.Policies == (engine.Policies{}) {
-		c.Policies = engine.DefaultPolicies()
 	}
 	return c
 }
@@ -235,9 +228,11 @@ type Response struct {
 	CacheHit bool
 
 	// Analysis reports the abstract interpreter's verdict for the
-	// program: "proved" when per-pc stack-depth bounds were established
-	// (the execution ran with stack bounds checks elided), "unproven"
-	// when they were not (the execution kept every dynamic check).
+	// program: "proved" when per-pc stack-depth bounds were established,
+	// "unproven" when they were not. Only the engines with a
+	// check-elided path (token, threaded, traced, compiled) skip stack
+	// bounds checks on a proved program; the others, the default switch
+	// engine among them, keep every check either way.
 	Analysis string
 
 	// Quickened reports whether the cached program was rewritten to
@@ -374,15 +369,12 @@ type Service struct {
 	closed bool
 }
 
-// New validates cfg, builds the engine set from the registry with the
-// configured policies, starts the worker pool and returns the running
-// service.
+// New fills in cfg's defaults, takes the registry's default-policy
+// engine set (engine.All), starts the worker pool and returns the
+// running service.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
-	engines, err := engine.AllWith(cfg.Policies)
-	if err != nil {
-		return nil, err
-	}
+	engines := engine.All()
 	s := &Service{
 		cfg:     cfg,
 		engines: make(map[string]engine.Engine, len(engines)),

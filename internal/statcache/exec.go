@@ -95,14 +95,6 @@ func ExecuteOn(m *interp.Machine, plan *Plan) (*Result, error) {
 		limit = m.MaxSteps
 	}
 
-	// Check elision needs more than the machine gate here: the executor
-	// runs on a fixed-size guard-zone scratch, so the proved peak depth
-	// must also fit the scratch above the seeded cells. Reconciliation
-	// can dip below the logical bottom by design (it reads guard-zone
-	// zeros), but never anywhere near GuardCells deep on a proved
-	// program, so the beyond-guard checks are dead too.
-	checked := !(m.ElideChecks() && d+m.Facts.MaxDepth <= interp.DefaultStackCap)
-
 	applyRecon := func(r *Recon) error {
 		if r == nil {
 			return nil
@@ -112,7 +104,7 @@ func ExecuteOn(m *interp.Machine, plan *Plan) (*Result, error) {
 			vals[i] = regs[src]
 		}
 		for i := 0; i < r.Spill; i++ {
-			if checked && msp == len(mem) {
+			if msp == len(mem) {
 				return failAt(m, "stack overflow")
 			}
 			mem[msp] = vals[i]
@@ -120,7 +112,7 @@ func ExecuteOn(m *interp.Machine, plan *Plan) (*Result, error) {
 		}
 		surv := vals[r.Spill:]
 		if r.Loads > 0 {
-			if checked && msp-r.Loads < 0 {
+			if msp-r.Loads < 0 {
 				return failAt(m, "stack underflow beyond guard zone")
 			}
 			for i := 0; i < r.Loads; i++ {
@@ -152,7 +144,7 @@ func ExecuteOn(m *interp.Machine, plan *Plan) (*Result, error) {
 
 		// Preloads (eliminated manipulations with uncached arguments).
 		if n := len(step.PreloadRegs); n > 0 {
-			if checked && msp-n < 0 {
+			if msp-n < 0 {
 				return res, failAt(m, "stack underflow beyond guard zone")
 			}
 			for i, r := range step.PreloadRegs {
@@ -165,7 +157,7 @@ func ExecuteOn(m *interp.Machine, plan *Plan) (*Result, error) {
 			// Eliminated stack manipulation: spill if the plan says
 			// so; otherwise the instruction has vanished entirely.
 			for _, r := range step.SpillRegs {
-				if checked && msp == len(mem) {
+				if msp == len(mem) {
 					return res, failAt(m, "stack overflow")
 				}
 				mem[msp] = regs[r]
@@ -180,7 +172,7 @@ func ExecuteOn(m *interp.Machine, plan *Plan) (*Result, error) {
 
 		// Gather arguments: deepest from memory, rest from registers.
 		if n := step.MemArgs; n > 0 {
-			if checked && msp-n < 0 {
+			if msp-n < 0 {
 				return res, failAt(m, "stack underflow beyond guard zone")
 			}
 			copy(args[:n], mem[msp-n:msp])
@@ -198,7 +190,7 @@ func ExecuteOn(m *interp.Machine, plan *Plan) (*Result, error) {
 
 		// Overflow spills before results are placed.
 		for _, r := range step.SpillRegs {
-			if checked && msp == len(mem) {
+			if msp == len(mem) {
 				return res, failAt(m, "stack overflow")
 			}
 			mem[msp] = regs[r]
@@ -235,7 +227,7 @@ func ExecuteOn(m *interp.Machine, plan *Plan) (*Result, error) {
 			return res, err
 		}
 		for i := 0; i < step.MemOuts && i < nout; i++ {
-			if checked && msp == len(mem) {
+			if msp == len(mem) {
 				return res, failAt(m, "stack overflow")
 			}
 			mem[msp] = outs[i]

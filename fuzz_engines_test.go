@@ -12,6 +12,7 @@ package stackcache
 // starting depths, not just from empty.
 
 import (
+	"reflect"
 	"testing"
 
 	"stackcache/internal/interp"
@@ -202,8 +203,14 @@ func FuzzEngines(f *testing.F) {
 		// with garbage tails; that de-fuse path is covered by the main
 		// loop above. This covers the tails vm.Quicken actually
 		// produces, over fuzzed programs and fuzzed initial stacks.)
+		// Its facts must equal the original's too: the artifact store
+		// carries them over instead of re-analyzing.
 		if verified {
 			if q, n := vm.Quicken(p); n > 0 {
+				if fq, fp := vm.Analyze(q), vm.Analyze(p); !reflect.DeepEqual(fq, fp) {
+					t.Errorf("quickening changed the facts: %+v, unquickened %+v\nprogram:\n%s",
+						fq, fp, vm.Disassemble(q))
+				}
 				for _, e := range allEngines {
 					snap, err := e.runSpec(q, spec)
 					if e.needsVerify {

@@ -76,8 +76,9 @@ func newUnit(key string, p *vm.Program) *Unit {
 }
 
 // Facts returns the unit's vm.Analyze result, computing it at most
-// once. Units loaded from the disk tier arrive with facts already
-// attached (the analysis travels with the bytes) and never recompute.
+// once. Units a store builds arrive with the facts its build proved,
+// and units loaded from the disk tier with the facts that traveled
+// with the bytes; neither recomputes.
 func (u *Unit) Facts() *vm.Facts {
 	u.factsOnce.Do(func() {
 		if u.facts == nil {

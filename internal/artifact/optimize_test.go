@@ -43,8 +43,9 @@ func TestStoreOptimizeRefusalServesUnoptimized(t *testing.T) {
 	// Stand in a deliberately wrong optimizer: it claims a rewrite
 	// that prints a different constant. The validator must refuse it
 	// and the store must serve the unoptimized program.
-	defer func() { optimizeFn = vm.Optimize }()
-	optimizeFn = func(p *vm.Program) *vm.OptResult {
+	defer func() { optimizeFn = vm.OptimizeProof }()
+	optimizeFn = func(pf *vm.Proof) *vm.OptResult {
+		p := pf.Program()
 		bad := &vm.Program{
 			Code: []vm.Instr{
 				{Op: vm.OpLit, Arg: 999},

@@ -43,12 +43,13 @@ type Config struct {
 	// Dir, when non-empty, enables the on-disk tier: every built unit
 	// is persisted there and lookups consult it on memory miss.
 	Dir string
-	// Quicken rewrites verified programs to superinstructions before
-	// analysis, exactly like the service's cache-time quickening.
+	// Quicken rewrites the program to serve to superinstructions (and
+	// verifies it again), exactly like the service's cache-time
+	// quickening.
 	Quicken bool
-	// Optimize runs the static optimizer over verified programs and
+	// Optimize runs the static optimizer over depth-proven programs and
 	// adopts the rewrite only when the translation validator
-	// (vm.CheckTranslation) proves it observably equivalent; a refusal
+	// (vm.ProveTranslation) proves it observably equivalent; a refusal
 	// is counted and the unoptimized program is served. Optimization
 	// happens before quickening, so superinstruction fusion sees the
 	// optimized instruction stream.
@@ -82,10 +83,10 @@ type Store struct {
 	optRefused  atomic.Int64
 }
 
-// optimizeFn is vm.Optimize, indirected so tests can stand in a
+// optimizeFn is vm.OptimizeProof, indirected so tests can stand in a
 // deliberately wrong optimizer and watch the validator gate refuse
 // its output. Production code never reassigns it.
-var optimizeFn = vm.Optimize
+var optimizeFn = vm.OptimizeProof
 
 type inflightUnit struct {
 	done    chan struct{}
@@ -152,10 +153,10 @@ func (s *Store) Len() int {
 
 // GetOrBuild returns the unit for hash, staging through the tiers:
 // memory LRU, in-flight build join, disk (when configured), and
-// finally produce → verify → optimize+validate → quicken → analyze →
-// persist. The full
-// store key is (hash, Fingerprint). Failed builds are never cached;
-// concurrent callers for one key share a single build and its error.
+// finally produce → prove → optimize+validate → quicken → persist
+// (see build). The full store key is (hash, Fingerprint). Failed
+// builds are never cached; concurrent callers for one key share a
+// single build and its error.
 func (s *Store) GetOrBuild(hash string, produce func() (*vm.Program, error)) (*Unit, Outcome, error) {
 	key := hash
 	if s.cfg.Fingerprint != "" {
@@ -219,8 +220,21 @@ func (s *Store) GetOrBuild(hash string, produce func() (*vm.Program, error)) (*U
 }
 
 // build resolves a key miss: disk first (when configured), then the
-// produce callback with the same verify/quicken/analyze gate the
-// service's program cache has always enforced.
+// produce callback and the pipeline, which proves each distinct
+// program it derives exactly once:
+//
+//   - prove: vm.Prove verifies and analyzes the produced program p; a
+//     verify error fails the build.
+//   - optimize+validate (Config.Optimize, p depth-proven): the
+//     untrusted optimizer proposes a rewrite t, and
+//     vm.ProveTranslation, given p's Proof, verifies, analyzes and
+//     validates t. A refusal is counted and p is served.
+//   - quicken (Config.Quicken): Proof.Quicken plants superinstructions
+//     in the program to serve and verifies the result; the facts carry
+//     over unchanged.
+//
+// The unit's facts are those of the last Proof, so the served program
+// is never analyzed twice.
 func (s *Store) build(key string, produce func() (*vm.Program, error)) (*Unit, Outcome, error) {
 	if s.cfg.Dir != "" {
 		if u, ok := s.loadDisk(key); ok {
@@ -233,44 +247,44 @@ func (s *Store) build(key string, produce func() (*vm.Program, error)) (*Unit, O
 	if err != nil {
 		return nil, Miss, err
 	}
-	if err := vm.Verify(p); err != nil {
+	pf, err := vm.Prove(p)
+	if err != nil {
 		return nil, Miss, err
 	}
 	u := newUnit(key, p)
-	if s.cfg.Optimize {
+	if s.cfg.Optimize && pf.Facts().Proved {
 		// The optimizer is untrusted: its rewrite is adopted only when
 		// the independent translation validator proves it observably
 		// equivalent to what the front end produced. A refusal is not
 		// an error — the unoptimized program is correct and is served.
-		if r := optimizeFn(p); r.Changed {
-			if err := vm.CheckTranslation(p, r.Prog); err != nil {
+		if r := optimizeFn(pf); r.Changed {
+			if tp, err := vm.ProveTranslation(pf, r.Prog); err != nil {
 				s.optRefused.Add(1)
 			} else {
-				p = r.Prog
-				u.Prog = p
+				pf = tp
+				u.Prog = tp.Program()
 				u.Optimized = true
-				for pass, n := range r.Ops {
-					u.OptimizedOps[pass] = n
-				}
+				u.OptimizedOps = r.Ops
 			}
 		}
 	}
 	if s.cfg.Quicken {
-		if q, n := vm.Quicken(p); n > 0 {
-			// The quickened program goes back through the same verifier
-			// gate as any compiled program: a bad rewrite must never
-			// reach an engine.
-			if err := vm.Verify(q); err != nil {
-				return nil, Miss, err
-			}
-			u.Prog = q
+		// The quickened program goes back through the verifier: a bad
+		// rewrite must never reach an engine.
+		qf, n, err := pf.Quicken()
+		if err != nil {
+			return nil, Miss, err
+		}
+		if n > 0 {
+			pf = qf
+			u.Prog = qf.Program()
 			u.Quickened = true
 			u.QuickenedOps = n
 		}
 	}
-	// Analyze eagerly: facts travel with the unit to disk, so a warm
-	// start skips the abstract interpreter entirely.
-	u.facts = vm.Analyze(u.Prog)
+	// Facts travel with the unit to disk, so a warm start skips the
+	// abstract interpreter entirely.
+	u.facts = pf.Facts()
 	s.misses.Add(1)
 
 	if s.cfg.Dir != "" {

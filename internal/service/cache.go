@@ -218,9 +218,9 @@ func (c *ProgramCache) Get(src string) (*Entry, lookupKind, error) {
 
 // compile resolves a cache miss through the artifact store, outside
 // the cache lock. The store stages the full pipeline — disk tier,
-// forth compile, vm.Verify gate, optional quickening (re-verified),
-// eager vm.Analyze, persist — and the entry is a view over the
-// resulting unit. Quickened-program metrics count only true source
+// forth compile, vm.Prove (the verify gate and the facts), optional
+// optimization (validated) and quickening (re-verified), persist — and
+// the entry is a view over the resulting unit. Quickened-program metrics count only true source
 // builds: a unit served from the disk tier was counted by the process
 // that built it.
 func (c *ProgramCache) compile(key, src string) (*Entry, error) {

@@ -620,7 +620,10 @@ func (a *analyzer) collect(f *Facts) {
 		for _, si := range ps.states {
 			st := &a.states[si]
 			pc := int(st.pc)
-			ins := code[pc]
+			// A superinstruction is checked and reported as its first
+			// constituent, whose effect it has: a quickened program's
+			// facts deep-equal its unquickened form's (Proof.Quicken).
+			ins := CanonicalInstr(code[pc])
 			eff := EffectOf(ins.Op)
 			ad := a.addD(ps.absD, st.d)
 			ar := a.addR(ps.absR, st.r)

@@ -53,7 +53,15 @@ import (
 // call pushed, and return-stack cells read by r@/i/j are never
 // return addresses. Verify and Analyze are shared with the engine
 // check-elision machinery and are exercised by the differential and
-// fuzz suites independently of any optimizer concern.
+// fuzz suites independently of any optimizer concern. The original's
+// verdict reaches the validator only as a Proof, which only package
+// vm constructs; the validator proves the rewrite itself.
+//
+// The validator's total work is bounded: one budget of symbolic steps,
+// linear in the two programs' lengths, covers every pair, so a
+// program whose episodes re-walk a shared tail from many branch pairs
+// is refused in linear time instead of being validated in quadratic
+// time.
 //
 // What the validator does NOT promise: identical step counts (the
 // point of optimizing is fewer steps; a run can therefore complete
@@ -66,6 +74,17 @@ import (
 // the translation (never accepts it).
 const ctMaxPairs = 1 << 16
 
+// ctStepsPerInstr and ctStepsBase size the validator's work budget:
+// ctStepsPerInstr*(len(o)+len(t)) + ctStepsBase symbolic steps over
+// all pairs of one validation. Real programs (the paper suite, the
+// benchmark's generated programs) use under 3 steps per instruction
+// and under 2,000 in all, about a tenth of the budget or less.
+// Exhausting it refuses the translation, never accepts it.
+const (
+	ctStepsPerInstr = 32
+	ctStepsBase     = 4096
+)
+
 // CheckTranslation proves opt observably equivalent to orig, or
 // returns an error explaining the first divergence it could not
 // rule out. A non-nil error does NOT mean opt is wrong — the checker
@@ -73,42 +92,69 @@ const ctMaxPairs = 1 << 16
 // serve. Quickening is transparent here: both programs are compared
 // in unquickened form, since superinstructions are observably
 // identical to their expansions by construction.
+//
+// CheckTranslation is Prove of orig's unquickened form followed by
+// ProveTranslation, the core the artifact store calls with the Proof
+// it already holds.
 func CheckTranslation(orig, opt *Program) error {
 	if orig == nil || opt == nil {
 		return fmt.Errorf("vm: checktranslation: nil program")
 	}
-	o, t := Unquicken(orig), Unquicken(opt)
-	if err := Verify(o); err != nil {
+	op, err := Prove(Unquicken(orig))
+	if err != nil {
 		return fmt.Errorf("vm: checktranslation: original: %w", err)
 	}
-	if err := Verify(t); err != nil {
-		return fmt.Errorf("vm: checktranslation: rewritten: %w", err)
+	_, err = ProveTranslation(op, opt)
+	return err
+}
+
+// ProveTranslation is CheckTranslation for an original that is
+// already proven: it refuses unless orig is depth-proven, verifies
+// and analyzes opt's unquickened form itself, runs the episode
+// comparison, and on success returns the Proof of that form — the
+// program to serve, with its facts. orig's facts are reused, not
+// re-derived, which is sound because only vm constructs a Proof and
+// unquickening keeps both verdicts: Verify(p) implies
+// Verify(Unquicken(p)), and Analyze gives them equal facts.
+func ProveTranslation(orig *Proof, opt *Program) (*Proof, error) {
+	if orig == nil || orig.prog == nil || opt == nil {
+		return nil, fmt.Errorf("vm: checktranslation: nil program")
 	}
-	if !Analyze(o).Proved {
-		return fmt.Errorf("vm: checktranslation: original program is not depth-proven")
+	if !orig.facts.Proved {
+		return nil, fmt.Errorf("vm: checktranslation: original program is not depth-proven")
 	}
-	if !Analyze(t).Proved {
-		return fmt.Errorf("vm: checktranslation: rewritten program is not depth-proven")
+	o, t := Unquicken(orig.prog), Unquicken(opt)
+	tp, err := Prove(t)
+	if err != nil {
+		return nil, fmt.Errorf("vm: checktranslation: rewritten: %w", err)
+	}
+	if !tp.facts.Proved {
+		return nil, fmt.Errorf("vm: checktranslation: rewritten program is not depth-proven")
 	}
 	if o.MemSize != t.MemSize {
-		return fmt.Errorf("vm: checktranslation: memory size differs: %d vs %d", o.MemSize, t.MemSize)
+		return nil, fmt.Errorf("vm: checktranslation: memory size differs: %d vs %d", o.MemSize, t.MemSize)
 	}
 	if !bytes.Equal(o.Data, t.Data) {
-		return fmt.Errorf("vm: checktranslation: initial memory differs")
+		return nil, fmt.Errorf("vm: checktranslation: initial memory differs")
 	}
-	v := &validator{o: o, t: t, seen: make(map[pcPair]bool), ctx: epCtx{terms: make(map[term]*term)}}
+	n := len(o.Code) + len(t.Code)
+	v := &validator{
+		o: o, t: t, seen: make(map[pcPair]bool),
+		epCap:  4*n + 256,
+		budget: ctStepsPerInstr*n + ctStepsBase,
+	}
 	v.enqueue(pcPair{o.Entry, t.Entry})
 	for len(v.queue) > 0 {
 		pair := v.queue[len(v.queue)-1]
 		v.queue = v.queue[:len(v.queue)-1]
 		if err := v.checkPair(pair); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if v.overflow {
-		return fmt.Errorf("vm: checktranslation: more than %d pc pairs; refusing", ctMaxPairs)
+		return nil, fmt.Errorf("vm: checktranslation: more than %d pc pairs; refusing", ctMaxPairs)
 	}
-	return nil
+	return tp, nil
 }
 
 // pcPair is one correspondence point: pc o in the original matches pc
@@ -121,9 +167,15 @@ type validator struct {
 	queue    []pcPair
 	overflow bool
 
-	// ctx is the hash-cons table, cleared before each pair so every
-	// pair's terms are its own, as if freshly allocated.
-	ctx epCtx
+	// epCap bounds one episode's symbolic steps; steps counts those
+	// of every pair so far, against budget (see ctStepsPerInstr).
+	epCap, steps, budget int
+
+	// ctx is the hash-cons table, reset before each pair so every
+	// pair's terms are its own, as if freshly allocated; eo and et
+	// are the pair's two episodes, whose slices later pairs reuse.
+	ctx    epCtx
+	eo, et episode
 }
 
 // ctxReuseMax bounds the term count of a table that is cleared and
@@ -145,19 +197,16 @@ func (v *validator) enqueue(p pcPair) {
 
 func (v *validator) checkPair(pair pcPair) error {
 	ctx := &v.ctx
-	if len(ctx.terms) > ctxReuseMax {
-		ctx.terms = make(map[term]*term)
-	} else {
-		clear(ctx.terms)
-	}
-	cap := 4*(len(v.o.Code)+len(v.t.Code)) + 256
-	eo, err := runEpisode(ctx, v.o, pair.o, cap)
-	if err != nil {
+	ctx.reset()
+	eo, et := &v.eo, &v.et
+	if err := runEpisode(ctx, eo, v.o, pair.o, v.epCap); err != nil {
 		return fmt.Errorf("vm: checktranslation: original pc %d: %w", pair.o, err)
 	}
-	et, err := runEpisode(ctx, v.t, pair.t, cap)
-	if err != nil {
+	if err := runEpisode(ctx, et, v.t, pair.t, v.epCap); err != nil {
 		return fmt.Errorf("vm: checktranslation: rewritten pc %d: %w", pair.t, err)
+	}
+	if v.steps += eo.steps + et.steps; v.steps > v.budget {
+		return fmt.Errorf("vm: checktranslation: more than %d symbolic steps; refusing", v.budget)
 	}
 	if err := compareEpisodes(eo, et); err != nil {
 		return fmt.Errorf("vm: checktranslation: pcs (%d,%d): %w", pair.o, pair.t, err)
@@ -243,24 +292,61 @@ type term struct {
 	a, b *term
 }
 
+// epCtx is one pair's term table. Terms live in slab chunks that the
+// next pair overwrites: a pair's terms die with it, so within a pair
+// pointer equality is still semantic equality.
 type epCtx struct {
-	terms map[term]*term
+	terms  map[term]*term
+	consts map[Cell]*term // tConst terms, keyed by value alone
+	slab   []term         // the current chunk; never grown in place
+}
+
+// reset empties the table for the next pair, keeping its storage
+// unless the last pair made it larger than ctxReuseMax terms.
+func (c *epCtx) reset() {
+	if c.terms == nil || len(c.terms)+len(c.consts) > ctxReuseMax {
+		c.terms = make(map[term]*term)
+		c.consts = make(map[Cell]*term)
+		c.slab = nil
+		return
+	}
+	clear(c.terms)
+	clear(c.consts)
+	c.slab = c.slab[:0]
+}
+
+// alloc places t in the slab. A full chunk is left to the terms that
+// point into it and a fresh one is started, never appended past its
+// capacity, so interned pointers stay valid.
+func (c *epCtx) alloc(t term) *term {
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]term, 0, max(64, 2*cap(c.slab)))
+	}
+	c.slab = append(c.slab, t)
+	return &c.slab[len(c.slab)-1]
 }
 
 func (c *epCtx) intern(t term) *term {
 	if p, ok := c.terms[t]; ok {
 		return p
 	}
-	p := new(term)
-	*p = t
+	p := c.alloc(t)
 	c.terms[t] = p
 	return p
 }
 
-func (c *epCtx) konst(v Cell) *term { return c.intern(term{kind: tConst, c: v}) }
-func (c *epCtx) dsym(k int) *term   { return c.intern(term{kind: tDSym, c: Cell(k)}) }
-func (c *epCtx) rsym(k int) *term   { return c.intern(term{kind: tRSym, c: Cell(k)}) }
-func (c *epCtx) depth(d int) *term  { return c.intern(term{kind: tDepth, c: Cell(d)}) }
+func (c *epCtx) konst(v Cell) *term {
+	if p, ok := c.consts[v]; ok {
+		return p
+	}
+	p := c.alloc(term{kind: tConst, c: v})
+	c.consts[v] = p
+	return p
+}
+
+func (c *epCtx) dsym(k int) *term  { return c.intern(term{kind: tDSym, c: Cell(k)}) }
+func (c *epCtx) rsym(k int) *term  { return c.intern(term{kind: tRSym, c: Cell(k)}) }
+func (c *epCtx) depth(d int) *term { return c.intern(term{kind: tDepth, c: Cell(d)}) }
 func (c *epCtx) mem(op Opcode, addr *term, epoch int) *term {
 	return c.intern(term{kind: tMem, op: op, a: addr, c: Cell(epoch)})
 }
@@ -277,7 +363,7 @@ func (c *epCtx) app1(op Opcode, a *term) *term {
 		}
 	}
 	if op == OpZeroEq && a.kind == tApp {
-		if comp, ok := cmpComplement[a.op]; ok {
+		if comp := cmpComplement[a.op]; comp != OpNop {
 			if a.b != nil {
 				return c.app2(comp, a.a, a.b)
 			}
@@ -430,11 +516,13 @@ func slBody(code []Instr, entry int) bool {
 
 // runEpisode symbolically executes p from pc until its next dynamic
 // control decision, following nops, forward branches,
-// constant-decided conditionals and straight-line calls inline.
-func runEpisode(ctx *epCtx, p *Program, pc int, stepCap int) (*episode, error) {
+// constant-decided conditionals and straight-line calls inline. It
+// records the episode in e, reusing e's slices.
+func runEpisode(ctx *epCtx, e *episode, p *Program, pc int, stepCap int) error {
 	code := p.Code
-	e := &episode{}
+	*e = episode{st: e.st[:0], rst: e.rst[:0], events: e.events[:0]}
 	var inlineRet []int
+	in := make([]*term, 0, 4) // a stack manipulation's inputs, top first
 	epoch := 0
 
 	popD := func() *term {
@@ -470,15 +558,15 @@ func runEpisode(ctx *epCtx, p *Program, pc int, stepCap int) (*episode, error) {
 
 	for {
 		if e.steps >= stepCap {
-			return nil, fmt.Errorf("episode exceeds %d symbolic steps", stepCap)
+			return fmt.Errorf("episode exceeds %d symbolic steps", stepCap)
 		}
 		if pc < 0 || pc >= len(code) {
-			return nil, fmt.Errorf("symbolic pc %d out of range", pc)
+			return fmt.Errorf("symbolic pc %d out of range", pc)
 		}
 		ins := code[pc]
 		op := ins.Op
 		e.steps++
-		eff := EffectOf(op)
+		eff := &effects[op] // p is verified, so op is valid
 
 		switch {
 		case op == OpNop:
@@ -506,9 +594,9 @@ func runEpisode(ctx *epCtx, p *Program, pc int, stepCap int) (*episode, error) {
 			pc++
 
 		case eff.IsManip():
-			in := make([]*term, eff.In)
-			for i := range in {
-				in[i] = popD()
+			in = in[:0]
+			for i := 0; i < eff.In; i++ {
+				in = append(in, popD())
 			}
 			for k := len(eff.Map) - 1; k >= 0; k-- {
 				pushD(in[eff.Map[k]])
@@ -585,7 +673,7 @@ func runEpisode(ctx *epCtx, p *Program, pc int, stepCap int) (*episode, error) {
 				break
 			}
 			e.end = ender{kind: eJump, target: t}
-			return e, nil
+			return nil
 
 		case op == OpBranchZero:
 			cond := popD()
@@ -597,13 +685,13 @@ func runEpisode(ctx *epCtx, p *Program, pc int, stepCap int) (*episode, error) {
 						break
 					}
 					e.end = ender{kind: eJump, target: t}
-					return e, nil
+					return nil
 				}
 				pc++
 				break
 			}
 			e.end = ender{kind: eCond, cond: cond, target: int(ins.Arg), fall: pc + 1}
-			return e, nil
+			return nil
 
 		case op == OpCall:
 			callee := int(ins.Arg)
@@ -617,7 +705,7 @@ func runEpisode(ctx *epCtx, p *Program, pc int, stepCap int) (*episode, error) {
 				break
 			}
 			e.end = ender{kind: eCall, target: callee, fall: pc + 1}
-			return e, nil
+			return nil
 
 		case op == OpExit:
 			if len(inlineRet) > 0 {
@@ -628,31 +716,31 @@ func runEpisode(ctx *epCtx, p *Program, pc int, stepCap int) (*episode, error) {
 			if len(e.rst) > 0 {
 				// The popped cell was pushed during this episode: a
 				// computed return address we cannot resolve.
-				return nil, fmt.Errorf("exit pops an episode-computed return address")
+				return fmt.Errorf("exit pops an episode-computed return address")
 			}
 			e.rneed++
 			e.end = ender{kind: eExit, rexit: e.rneed}
-			return e, nil
+			return nil
 
 		case op == OpHalt:
 			e.end = ender{kind: eHalt}
-			return e, nil
+			return nil
 
 		case op == OpLoop:
 			idx := popR()
 			lim := popR()
 			e.end = ender{kind: eLoop, target: int(ins.Arg), fall: pc + 1, args: []*term{lim, idx}}
-			return e, nil
+			return nil
 
 		case op == OpPlusLoop:
 			n := popD()
 			idx := popR()
 			lim := popR()
 			e.end = ender{kind: ePlusLoop, target: int(ins.Arg), fall: pc + 1, args: []*term{n, lim, idx}}
-			return e, nil
+			return nil
 
 		default:
-			return nil, fmt.Errorf("cannot model %s symbolically", op)
+			return fmt.Errorf("cannot model %s symbolically", op)
 		}
 	}
 }

@@ -27,11 +27,11 @@ package vm
 //
 // The optimizer is deliberately UNTRUSTED: nothing here is part of the
 // correctness argument. Every accepted rewrite must additionally pass
-// the independent translation validator (CheckTranslation, in
-// checktrans.go), and Optimize itself re-runs Verify and Analyze on
-// its output, bailing out to the identity result if the rewritten
-// program is not again verified and depth-proven. A refusal anywhere
-// degrades to running the original program, never to unsoundness.
+// the independent translation validator (ProveTranslation, in
+// checktrans.go), which verifies and analyzes the rewrite itself; the
+// public Optimize also refuses its own rewrite when that rewrite does
+// not verify and prove again. A refusal anywhere degrades to running
+// the original program, never to unsoundness.
 //
 // Soundness-relevant local rules (the validator re-checks all of them,
 // but they are designed in, not accidental):
@@ -219,20 +219,48 @@ func straightLineBody(code []Instr, entry int) (int, bool) {
 // runtime fault are not observable (no engine or service reports
 // them) and may differ.
 //
-// Optimize iterates its pipeline until no call site targets a
+// Optimize is Prove of p's unquickened form, OptimizeProof, and a
+// self-check: it reports Changed only when its rewrite verifies and
+// is depth-proven again. The artifact store calls OptimizeProof
+// directly and leaves that check to the validator, which proves the
+// same rewrite.
+func Optimize(p *Program) *OptResult {
+	src := Unquicken(p)
+	pf, err := Prove(src)
+	if err != nil {
+		return unchanged(p, src)
+	}
+	res := OptimizeProof(pf)
+	if !res.Changed {
+		res.Prog = p
+		return res
+	}
+	if tp, err := Prove(res.Prog); err != nil || !tp.facts.Proved {
+		// The rewrite lost the safety proof: refuse our own work.
+		return unchanged(p, src)
+	}
+	return res
+}
+
+// OptimizeProof is Optimize's core for a program already proven: it
+// rewrites pf's program (in unquickened form) when pf is depth-proven
+// and returns the identity result otherwise. It reads no facts beyond
+// that verdict, and it does not verify or analyze its own rewrite: a
+// Changed result is a proposal, and must pass ProveTranslation before
+// anything serves it.
+//
+// OptimizeProof iterates its pipeline until no call site targets a
 // straight-line word (inlining can straighten a word whose only
 // control flow was an inlined call or a decided branch). This closure
 // property is what lets the validator decide symbolic call inlining
 // per side, from each program alone.
-func Optimize(p *Program) *OptResult {
-	src := Unquicken(p)
-	res := &OptResult{Prog: p, Source: src}
-	res.Fate = make([]PCFate, len(src.Code))
-	res.NewPC = make([]int, len(src.Code))
-	for pc := range res.NewPC {
-		res.NewPC[pc] = pc
+func OptimizeProof(pf *Proof) *OptResult {
+	if pf == nil || pf.prog == nil {
+		return &OptResult{} // binds no program: nothing to rewrite
 	}
-	if Verify(src) != nil || !Analyze(src).Proved {
+	src := Unquicken(pf.prog)
+	res := unchanged(pf.prog, src)
+	if !pf.facts.Proved {
 		return res
 	}
 
@@ -243,11 +271,7 @@ func Optimize(p *Program) *OptResult {
 		if !ok {
 			// Growth cap or a remap inconsistency: discard everything
 			// and serve the input unchanged.
-			return &OptResult{
-				Prog: p, Source: src,
-				Fate:  make([]PCFate, len(src.Code)),
-				NewPC: identityPCs(len(src.Code)),
-			}
+			return unchanged(pf.prog, src)
 		}
 		if !r.changed {
 			break
@@ -272,26 +296,25 @@ func Optimize(p *Program) *OptResult {
 	if !changed {
 		return res
 	}
-	if hasLeafCallSite(cur) || Verify(cur) != nil || !Analyze(cur).Proved {
-		// Closure not reached within the round budget, or the rewrite
-		// lost the safety proof: refuse our own work.
-		return &OptResult{
-			Prog: p, Source: src,
-			Fate:  make([]PCFate, len(src.Code)),
-			NewPC: identityPCs(len(src.Code)),
-		}
+	if hasLeafCallSite(cur) {
+		// Closure not reached within the round budget: the validator's
+		// per-side inline rule would not match.
+		return unchanged(pf.prog, src)
 	}
 	res.Prog = cur
 	res.Changed = true
 	return res
 }
 
-func identityPCs(n int) []int {
-	m := make([]int, n)
-	for i := range m {
-		m[i] = i
+// unchanged is the identity result: prog served as is, every source
+// pc kept in place.
+func unchanged(prog, src *Program) *OptResult {
+	n := len(src.Code)
+	newPC := make([]int, n)
+	for i := range newPC {
+		newPC[i] = i
 	}
-	return m
+	return &OptResult{Prog: prog, Source: src, Fate: make([]PCFate, n), NewPC: newPC}
 }
 
 // hasLeafCallSite reports whether any instruction calls a
@@ -343,10 +366,11 @@ func optimizeOnce(src *Program) (*roundResult, bool) {
 		return nil, false
 	}
 
-	map1 := make([]int, n) // input pc -> stage-1 pc
-	var code1 []Instr      // stage-1 code
-	var origin1 []int      // stage-1 pc -> input pc it came from
-	var original1 []bool   // stage-1 pc is the instruction's own slot
+	n1 := n + grown
+	map1 := make([]int, n)           // input pc -> stage-1 pc
+	code1 := make([]Instr, 0, n1)    // stage-1 code
+	origin1 := make([]int, 0, n1)    // stage-1 pc -> input pc it came from
+	original1 := make([]bool, 0, n1) // stage-1 pc is the instruction's own slot
 	for pc, ins := range src.Code {
 		map1[pc] = len(code1)
 		if bl, ok := inline[pc]; ok {
@@ -364,7 +388,6 @@ func optimizeOnce(src *Program) (*roundResult, bool) {
 		origin1 = append(origin1, pc)
 		original1 = append(original1, true)
 	}
-	n1 := len(code1)
 	for i := range code1 {
 		if EffectOf(code1[i].Op).Arg == ArgTarget {
 			code1[i].Arg = Cell(map1[int(code1[i].Arg)])
@@ -401,7 +424,7 @@ func optimizeOnce(src *Program) (*roundResult, bool) {
 
 	reach := reachablePCs(code1, entry1)
 	map2 := make([]int, n1)
-	var code2 []Instr
+	code2 := make([]Instr, 0, n1)
 	for pc := range code1 {
 		if reach[pc] && code1[pc].Op != OpNop {
 			map2[pc] = len(code2)
@@ -513,14 +536,15 @@ var foldableUnary, foldableBinary = func() (u, b [NumOpcodes]bool) {
 	return
 }()
 
-// cmpComplement maps each complementable comparison to its negation;
-// "x cmp y 0=" is exactly "x cmp' y".
-var cmpComplement = map[Opcode]Opcode{
-	OpEq: OpNe, OpNe: OpEq,
-	OpLt: OpGe, OpGe: OpLt,
-	OpGt: OpLe, OpLe: OpGt,
-	OpZeroEq: OpZeroNe, OpZeroNe: OpZeroEq,
-}
+// cmpComplement maps each complementable comparison to its negation
+// ("x cmp y 0=" is exactly "x cmp' y") and every other opcode to
+// OpNop.
+var cmpComplement = func() (tab [NumOpcodes]Opcode) {
+	for _, c := range [][2]Opcode{{OpEq, OpNe}, {OpLt, OpGe}, {OpGt, OpLe}, {OpZeroEq, OpZeroNe}} {
+		tab[c[0]], tab[c[1]] = c[1], c[0]
+	}
+	return
+}()
 
 // simPass walks code once in pc order, simulating the data stack
 // within each straight-line segment and rewriting in place through the
@@ -590,7 +614,7 @@ func simPass(code []Instr, targets []bool, markRewrite, markFold func(int, OptPa
 				break
 			}
 			if op == OpZeroEq && a.cmpPC == pc-1 {
-				if comp, ok := cmpComplement[a.cmpOp]; ok {
+				if comp := cmpComplement[a.cmpOp]; comp != OpNop {
 					code[pc-1].Op = comp
 					markRewrite(pc-1, PassPeephole)
 					markFold(pc, PassPeephole)
@@ -599,7 +623,7 @@ func simPass(code []Instr, targets []bool, markRewrite, markFold func(int, OptPa
 				}
 			}
 			e := simUnknown
-			if _, ok := cmpComplement[op]; ok {
+			if cmpComplement[op] != OpNop {
 				e.cmpPC, e.cmpOp = pc, op
 			}
 			push(e)
@@ -635,7 +659,7 @@ func simPass(code []Instr, targets []bool, markRewrite, markFold func(int, OptPa
 				break
 			}
 			e := simUnknown
-			if _, ok := cmpComplement[op]; ok {
+			if cmpComplement[op] != OpNop {
 				e.cmpPC, e.cmpOp = pc, op
 			}
 			push(e)

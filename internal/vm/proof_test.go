@@ -1,0 +1,148 @@
+package vm_test
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"stackcache/internal/forth"
+	"stackcache/internal/vm"
+	"stackcache/internal/workloads"
+)
+
+// raceEnabled is set under the race detector (race_test.go), which
+// slows the validator about tenfold; wall-clock bounds skip then.
+var raceEnabled bool
+
+// TestQuickenKeepsFacts pins the identity Proof.Quicken relies on:
+// quickening changes no fact Analyze derives, on every workload the
+// fusion table was mined from and on an unproven program whose
+// violation sits on a planted superinstruction.
+func TestQuickenKeepsFacts(t *testing.T) {
+	progs := map[string]*vm.Program{}
+	for _, w := range append(workloads.Suite(), workloads.Micros()...) {
+		progs[w.Name] = w.MustCompile()
+	}
+	// "+ c@ ." with an empty stack: the + may underflow, and Quicken
+	// fuses it with the c@.
+	progs["underflow-at-super"] = &vm.Program{
+		Code:    []vm.Instr{{Op: vm.OpAdd}, {Op: vm.OpCFetch}, {Op: vm.OpDot}, {Op: vm.OpHalt}},
+		MemSize: 64,
+	}
+	quickened := 0
+	for name, p := range progs {
+		q, n := vm.Quicken(p)
+		if n == 0 {
+			continue
+		}
+		quickened++
+		want := vm.Analyze(p)
+		if got := vm.Analyze(q); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Analyze(quickened) = %+v, want Analyze(unquickened) = %+v", name, got, want)
+		}
+		pf, err := vm.Prove(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		qf, qn, err := pf.Quicken()
+		if err != nil || qn != n || !vm.Equal(qf.Program(), q) {
+			t.Fatalf("%s: Proof.Quicken = (%d sites, %v), want Quicken's %d sites", name, qn, err, n)
+		}
+		if qf.Facts() != pf.Facts() {
+			t.Errorf("%s: Proof.Quicken re-derived the facts instead of carrying them", name)
+		}
+	}
+	if quickened < 3 {
+		t.Fatalf("only %d programs quickened; the identity is barely exercised", quickened)
+	}
+}
+
+// TestProveTranslationReturnsRewriteProof: every workload's rewrite is
+// accepted, within the work budget, and comes back with its own proof.
+func TestProveTranslationReturnsRewriteProof(t *testing.T) {
+	for _, w := range workloads.All() {
+		p := w.MustCompile()
+		pf, err := vm.Prove(p)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		r := vm.OptimizeProof(pf)
+		if !r.Changed {
+			continue
+		}
+		tp, err := vm.ProveTranslation(pf, r.Prog)
+		if err != nil {
+			t.Fatalf("%s: rewrite refused: %v", w.Name, err)
+		}
+		if tp.Program() != r.Prog {
+			t.Errorf("%s: proof binds another program than the rewrite", w.Name)
+		}
+		if !reflect.DeepEqual(tp.Facts(), vm.Analyze(r.Prog)) {
+			t.Errorf("%s: proof facts differ from Analyze of the rewrite", w.Name)
+		}
+		// The public composition agrees with the core.
+		if full := vm.Optimize(p); !full.Changed || !vm.Equal(full.Prog, r.Prog) {
+			t.Errorf("%s: Optimize and OptimizeProof disagree", w.Name)
+		}
+	}
+}
+
+func TestProveTranslationRefusesUnprovenOriginal(t *testing.T) {
+	good := &vm.Program{Code: []vm.Instr{{Op: vm.OpLit, Arg: 1}, {Op: vm.OpDot}, {Op: vm.OpHalt}}, MemSize: 64}
+	if _, err := vm.ProveTranslation(&vm.Proof{}, good); err == nil {
+		t.Error("zero Proof accepted as an original")
+	}
+	if r := vm.OptimizeProof(&vm.Proof{}); r.Changed {
+		t.Error("zero Proof optimized")
+	}
+	underflow := &vm.Program{Code: []vm.Instr{{Op: vm.OpDot}, {Op: vm.OpHalt}}, MemSize: 64}
+	pf, err := vm.Prove(underflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.ProveTranslation(pf, underflow); err == nil || !strings.Contains(err.Error(), "depth-proven") {
+		t.Errorf("unproven original: err = %v, want a depth-proven refusal", err)
+	}
+}
+
+// TestCheckTranslationWorkBudget is the validator's denial-of-service
+// case: k nested conditionals whose k else-branches all rejoin one
+// long shared tail. Each else-branch pair walks the tail again, so
+// without a total bound the validation is quadratic (seconds at
+// k = 2000); the work budget refuses it in linear time.
+func TestCheckTranslationWorkBudget(t *testing.T) {
+	const k = 2000
+	var b strings.Builder
+	b.WriteString("variable v : main\n")
+	b.WriteString(strings.Repeat("v @ if\n", k))
+	b.WriteString("1 2 + drop\n")
+	b.WriteString(strings.Repeat("else 3 drop then\n", k))
+	b.WriteString(strings.Repeat("1 2 + drop v @ drop\n", 2*k))
+	b.WriteString(";\n")
+	p, err := forth.CompileWithOptions(b.String(), forth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := vm.Prove(p)
+	if err != nil || !pf.Facts().Proved {
+		t.Fatalf("test program is not proven: %v", err)
+	}
+	r := vm.OptimizeProof(pf)
+	if !r.Changed {
+		t.Fatal("test program was not rewritten")
+	}
+	// The fastest of three attempts, so a busy host does not fail it.
+	fastest := time.Hour
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		_, err = vm.ProveTranslation(pf, r.Prog)
+		fastest = min(fastest, time.Since(start))
+		if err == nil || !strings.Contains(err.Error(), "symbolic steps") {
+			t.Fatalf("err = %v, want a work-budget refusal", err)
+		}
+	}
+	if !raceEnabled && fastest > 100*time.Millisecond {
+		t.Errorf("refusal took %v, want under 100ms", fastest)
+	}
+}

@@ -221,10 +221,12 @@ func ShrinkPair(first, second Opcode) (Opcode, bool) {
 //
 // It returns the quickened program and the number of planted
 // superinstructions; when nothing matches it returns p itself and 0.
-// Callers re-verify and re-analyze the result — vm.Verify checks the
-// planted tails against the table, and because EffectOf(super) equals
-// EffectOf(first constituent), vm.Analyze derives per-pc facts
-// identical to the unquickened program's.
+// Callers re-verify the result — vm.Verify checks the planted tails
+// against the table — but need not re-analyze it: vm.Analyze has no
+// superinstruction case, EffectOf(super) equals EffectOf(first
+// constituent), and Analyze names that constituent in its violation
+// messages, so Analyze(q) deep-equals Analyze(p). Proof.Quicken is
+// the step that does exactly this.
 func Quicken(p *Program) (*Program, int) {
 	targets := p.BranchTargets()
 	var code []Instr
@@ -259,6 +261,23 @@ func Quicken(p *Program) (*Program, int) {
 	q := *p
 	q.Code = code
 	return &q, sites
+}
+
+// Quicken quickens pf's program and verifies the result. The quickened
+// program's Proof shares pf's facts instead of re-analyzing (see
+// Quicken for why they are identical); only its planted tails are new,
+// and Verify checks those. It returns pf itself and 0 when nothing
+// was planted, and Verify's error when the fused program does not
+// verify.
+func (pf *Proof) Quicken() (*Proof, int, error) {
+	q, n := Quicken(pf.prog)
+	if n == 0 {
+		return pf, 0, nil
+	}
+	if err := Verify(q); err != nil {
+		return nil, 0, err
+	}
+	return &Proof{prog: q, facts: pf.facts}, n, nil
 }
 
 // Unquicken undoes Quicken: every superinstruction reverts to its

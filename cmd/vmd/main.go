@@ -61,43 +61,10 @@ import (
 // uploads.
 const maxBodyBytes = 1 << 20
 
-type runRequest struct {
-	Source   string     `json:"source"`
-	Engine   string     `json:"engine"`
-	MaxSteps int64      `json:"max_steps"`
-	Args     []vm.Cell  `json:"args"`   // initial data stack, bottom first
-	Mem      []byte     `json:"mem"`    // data-memory overlay (base64 in JSON)
-	Inputs   []runInput `json:"inputs"` // batch: one execution per input
-}
-
-// runInput is one input set of a batch request; mutually exclusive
-// with the singleton args/mem fields.
-type runInput struct {
-	Args []vm.Cell `json:"args"`
-	Mem  []byte    `json:"mem"`
-}
-
+// runResponse is the /run wire form: the service's response as is,
+// plus its batch results.
 type runResponse struct {
-	Key        string    `json:"key"`
-	Engine     string    `json:"engine"`
-	Output     string    `json:"output"`
-	Stack      []vm.Cell `json:"stack"`
-	StackDepth int       `json:"stack_depth"`
-	Steps      int64     `json:"steps"`
-	CacheHit   bool      `json:"cache_hit"`
-	Analysis   string    `json:"analysis"`  // "proved" or "unproven"
-	Quickened  bool      `json:"quickened"` // program was rewritten to superinstruction form at cache time
-
-	// Optimized reports the program is the validator-certified
-	// optimizer rewrite; steps_accounting says which instruction stream
-	// "steps" counted ("source" or "optimized"), and source_steps
-	// carries the source-stream count when known (== steps for
-	// unoptimized runs; omitted for optimized ones, where only
-	// steps <= source holds).
-	Optimized       bool   `json:"optimized"`
-	StepsAccounting string `json:"steps_accounting"`
-	SourceSteps     int64  `json:"source_steps,omitempty"`
-
+	*service.Response
 	Results []inputResult `json:"results,omitempty"` // batch requests only, in input order
 }
 
@@ -179,43 +146,21 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// handleRun decodes the body straight into a service.Request and
+// encodes the service.Response, adding only the batch results' wire
+// form. A batch that was executed is 200 whatever its inputs did:
+// per-input failures are results, reported input by input.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
+	var req service.Request
 	if !decode(w, r, &req) {
 		return
 	}
-	sreq := service.Request{
-		Source:   req.Source,
-		Engine:   req.Engine,
-		MaxSteps: req.MaxSteps,
-		Args:     req.Args,
-		Mem:      req.Mem,
-	}
-	for _, in := range req.Inputs {
-		sreq.Inputs = append(sreq.Inputs, service.Input{Args: in.Args, Mem: in.Mem})
-	}
-	resp, err := s.svc.Run(r.Context(), sreq)
+	resp, err := s.svc.Run(r.Context(), req)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	out := runResponse{
-		Key:        resp.Key,
-		Engine:     resp.Engine,
-		Output:     resp.Output,
-		Stack:      resp.Stack,
-		StackDepth: resp.StackDepth,
-		Steps:      resp.Steps,
-		CacheHit:   resp.CacheHit,
-		Analysis:   resp.Analysis,
-		Quickened:  resp.Quickened,
-
-		Optimized:       resp.Optimized,
-		StepsAccounting: resp.StepsAccounting,
-		SourceSteps:     resp.SourceSteps,
-	}
-	// A batch that was executed is 200 whatever its inputs did:
-	// per-input failures are results, reported input by input.
+	out := runResponse{Response: resp}
 	for _, ir := range resp.Results {
 		res := inputResult{
 			Output:     ir.Output,
@@ -233,7 +178,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
+	var req service.Request
 	if !decode(w, r, &req) {
 		return
 	}

@@ -1,9 +1,13 @@
 package forth
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"stackcache/internal/interp"
+	"stackcache/internal/vm"
 )
 
 // FuzzCompile feeds arbitrary source to the compiler: it must either
@@ -42,11 +46,24 @@ func FuzzCompile(f *testing.F) {
 }
 
 // FuzzCompileEnginesAgree checks behavioural equivalence of all
-// engines on fuzzer-found programs that compile and terminate.
+// engines on fuzzer-found programs that compile and terminate, and
+// of the optimizer's rewrite with its source. Fuzzing Forth source
+// reaches shapes byte-level fuzzing of bytecode does not: entry
+// stubs, nested words, folds that shrink a word until it is inlined.
 func FuzzCompileEnginesAgree(f *testing.F) {
 	f.Add(`: sq dup * ; : main 4 sq . 2 sq . ;`)
 	f.Add(`: main 0 100 0 do i + loop . ;`)
 	f.Add(`: main 1 2 3 rot swap over . . . . ;`)
+	// Rewrites the validator once refused: h0 is inlined into main and
+	// folded, then main into the entry stub.
+	f.Add(`variable v0 : h0 or 98 -28 3 / + xor ; : main 21 6 -10 and 6 lshift 37 6 / h0 v0 +! v0 @ . . ;`)
+	f.Add(`variable v0 : h0 -8 2 / xor + ; : main 128 -12 1+ 0 rshift 2dup or h0 v0 +! v0 @ . . ;`)
+	// A straight-line call tree with 15^8 calls in 443 bytes.
+	chain := ": w0 ;\n"
+	for i := 1; i <= 8; i++ {
+		chain += fmt.Sprintf(": w%d%s ;\n", i, strings.Repeat(fmt.Sprintf(" w%d", i-1), 15))
+	}
+	f.Add(chain + ": main 1 2 + . w8 ;\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Compile(src)
 		if err != nil {
@@ -75,6 +92,41 @@ func FuzzCompileEnginesAgree(f *testing.F) {
 			if refErr == nil && !ref.Equal(got) {
 				t.Fatalf("%v result disagreement", e)
 			}
+		}
+
+		// Optimizer differential, as in FuzzEngines: a rewrite must
+		// pass its translation validator, and switch must run it to
+		// the source's snapshot or error class in no more steps. A
+		// source run the step budget cut short is left out, since the
+		// rewrite may finish inside the budget.
+		var re *interp.RuntimeError
+		if errors.As(refErr, &re) && re.Msg == interp.MsgStepLimit {
+			return
+		}
+		r := vm.Optimize(p)
+		if !r.Changed {
+			return
+		}
+		if err := vm.CheckTranslation(p, r.Prog); err != nil {
+			t.Fatalf("optimizer emitted a rewrite its validator refuses: %v\noriginal:\n%s\noptimized:\n%s",
+				err, vm.Disassemble(p), vm.Disassemble(r.Prog))
+		}
+		m := interp.NewMachine(r.Prog)
+		m.MaxSteps = 100000
+		optErr := interp.RunSwitch(m)
+		if (refErr == nil) != (optErr == nil) {
+			t.Fatalf("optimized error %v, source error %v", optErr, refErr)
+		}
+		if refErr != nil {
+			var ore *interp.RuntimeError
+			if re != nil && errors.As(optErr, &ore) && ore.Msg != re.Msg {
+				t.Fatalf("optimized error class %q, source %q", ore.Msg, re.Msg)
+			}
+			return
+		}
+		if got := m.Snapshot(); !ref.Equal(got) || got.Steps > ref.Steps {
+			t.Fatalf("optimized run diverges from the source run (steps %d vs %d)\noptimized:\n%s",
+				got.Steps, ref.Steps, vm.Disassemble(r.Prog))
 		}
 	})
 }

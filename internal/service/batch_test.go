@@ -300,7 +300,7 @@ func TestCompletedResultBeatsCanceledContext(t *testing.T) {
 		t1 := &task{done: make(chan result, 1)}
 		want := &Response{Output: fmt.Sprintf("run %d", i)}
 		t1.done <- result{resp: want}
-		resp, err := s.await(ctx, t1, lookupHit)
+		resp, err := s.await(ctx, t1, true)
 		if err != nil {
 			t.Fatalf("iteration %d: delivered result misreported as %s", i, Classify(err))
 		}
@@ -316,7 +316,7 @@ func TestCompletedResultBeatsCanceledContext(t *testing.T) {
 	}
 	// When no result has been delivered, cancellation still wins.
 	t2 := &task{done: make(chan result, 1)}
-	if _, err := s.await(ctx, t2, lookupMiss); Classify(err) != ClassCanceled {
+	if _, err := s.await(ctx, t2, false); Classify(err) != ClassCanceled {
 		t.Errorf("undelivered task classified %s, want canceled", Classify(err))
 	}
 }

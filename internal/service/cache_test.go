@@ -1,37 +1,62 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"stackcache/internal/compiled"
 	"stackcache/internal/forth"
+	"stackcache/internal/vm"
 )
 
-func testCache(max int, m *Metrics) *ProgramCache {
-	return NewProgramCache(max, forth.Options{}, m)
+// raceEnabled is set under the race detector (race_test.go), whose
+// sync.Pool drops pooled machines at random.
+var raceEnabled bool
+
+func cacheService(t *testing.T, size int) *Service {
+	t.Helper()
+	s, err := New(Config{Workers: 1, CacheSize: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
 }
 
 func srcN(i int) string { return fmt.Sprintf(": main %d . ;", i) }
 
-func TestCacheHitMiss(t *testing.T) {
-	var m Metrics
-	c := testCache(8, &m)
+// compile warms src in the cache and reports whether it was a hit.
+func compile(t *testing.T, s *Service, src string) bool {
+	t.Helper()
+	_, hit, err := s.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hit
+}
 
-	e1, kind, err := c.Get(srcN(1))
-	if err != nil || kind != lookupMiss {
-		t.Fatalf("first get: kind %v err %v", kind, err)
+func TestCacheHitMiss(t *testing.T) {
+	s := cacheService(t, 8)
+
+	k1, u1, hit, err := s.lookup(srcN(1))
+	if err != nil || hit {
+		t.Fatalf("first lookup: hit %v err %v", hit, err)
 	}
-	e2, kind, err := c.Get(srcN(1))
-	if err != nil || kind != lookupHit {
-		t.Fatalf("second get: kind %v err %v", kind, err)
+	k2, u2, hit, err := s.lookup(srcN(1))
+	if err != nil || !hit {
+		t.Fatalf("second lookup: hit %v err %v", hit, err)
 	}
-	if e1 != e2 {
-		t.Error("same source returned distinct entries")
+	if u1 != u2 || k1 != k2 {
+		t.Error("same source returned distinct units or keys")
 	}
-	if m.cacheMisses.Load() != 1 || m.cacheHits.Load() != 1 {
-		t.Errorf("misses %d hits %d, want 1/1", m.cacheMisses.Load(), m.cacheHits.Load())
+	if k1 != CacheKey(srcN(1), forth.Options{}) {
+		t.Error("lookup key is not the source's CacheKey")
+	}
+	if st := s.Stats(); st.CacheMisses != 1 || st.CacheHits != 1 {
+		t.Errorf("misses %d hits %d, want 1/1", st.CacheMisses, st.CacheHits)
 	}
 }
 
@@ -50,33 +75,29 @@ func TestCacheKeyIncludesOptions(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	var m Metrics
 	const max = 4
-	c := testCache(max, &m)
+	s := cacheService(t, max)
 
 	for i := 0; i < max; i++ {
-		if _, _, err := c.Get(srcN(i)); err != nil {
-			t.Fatal(err)
-		}
+		compile(t, s, srcN(i))
 	}
 	// Touch entry 0 so it is the most recently used, then overflow:
 	// entry 1 must be the victim.
-	if _, kind, _ := c.Get(srcN(0)); kind != lookupHit {
+	if !compile(t, s, srcN(0)) {
 		t.Fatalf("entry 0 not cached before overflow")
 	}
-	if _, _, err := c.Get(srcN(max)); err != nil {
-		t.Fatal(err)
+	compile(t, s, srcN(max))
+	st := s.Stats()
+	if st.CacheSize != max {
+		t.Errorf("cache size %d after eviction, want %d", st.CacheSize, max)
 	}
-	if got := c.Len(); got != max {
-		t.Errorf("cache size %d after eviction, want %d", got, max)
+	if st.CacheEvictions != 1 {
+		t.Errorf("evictions %d, want 1", st.CacheEvictions)
 	}
-	if m.cacheEvictions.Load() != 1 {
-		t.Errorf("evictions %d, want 1", m.cacheEvictions.Load())
-	}
-	if _, kind, _ := c.Get(srcN(0)); kind != lookupHit {
+	if !compile(t, s, srcN(0)) {
 		t.Error("recently-used entry 0 was evicted")
 	}
-	if _, kind, _ := c.Get(srcN(1)); kind != lookupMiss {
+	if compile(t, s, srcN(1)) {
 		t.Error("least-recently-used entry 1 survived eviction")
 	}
 }
@@ -84,13 +105,12 @@ func TestCacheLRUEviction(t *testing.T) {
 // TestCacheSingleFlight proves the dedup contract: N concurrent
 // requests for the same novel source observe exactly one compile.
 func TestCacheSingleFlight(t *testing.T) {
-	var m Metrics
-	c := testCache(8, &m)
+	s := cacheService(t, 8)
 
 	var compiles atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	c.onCompile = func(string) {
+	s.onCompile = func(string) {
 		compiles.Add(1)
 		close(started) // panics if a second compile ever starts
 		<-release
@@ -98,16 +118,16 @@ func TestCacheSingleFlight(t *testing.T) {
 
 	const n = 16
 	var wg sync.WaitGroup
-	entries := make([]*Entry, n)
+	keys := make([]string, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, _, err := c.Get(": main 42 . ;")
+			key, _, err := s.Compile(": main 42 . ;")
 			if err != nil {
 				t.Error(err)
 			}
-			entries[i] = e
+			keys[i] = key
 		}(i)
 	}
 	<-started // one compile is in flight; everyone else must wait on it
@@ -119,16 +139,16 @@ func TestCacheSingleFlight(t *testing.T) {
 		t.Fatalf("%d compiles for one source, want exactly 1", got)
 	}
 	for i := 1; i < n; i++ {
-		if entries[i] != entries[0] {
-			t.Fatal("waiters got distinct entries")
+		if keys[i] != keys[0] {
+			t.Fatal("requests got distinct keys")
 		}
 	}
-	if m.cacheMisses.Load() != 1 {
-		t.Errorf("misses %d, want 1", m.cacheMisses.Load())
+	st := s.Stats()
+	if st.CacheMisses != 1 || st.CacheSize != 1 {
+		t.Errorf("misses %d size %d, want 1/1", st.CacheMisses, st.CacheSize)
 	}
-	if m.cacheHits.Load()+m.cacheCoalesced.Load() != n-1 {
-		t.Errorf("hits %d + coalesced %d, want %d",
-			m.cacheHits.Load(), m.cacheCoalesced.Load(), n-1)
+	if st.CacheHits+st.CacheCoalesced != n-1 {
+		t.Errorf("hits %d + coalesced %d, want %d", st.CacheHits, st.CacheCoalesced, n-1)
 	}
 }
 
@@ -136,27 +156,95 @@ func TestCacheSingleFlight(t *testing.T) {
 // reported but never enters the cache — retrying recompiles, and a
 // subsequent fixed source is unaffected.
 func TestCacheFailedCompileNotCached(t *testing.T) {
-	var m Metrics
-	c := testCache(8, &m)
+	s := cacheService(t, 8)
 
 	var compiles atomic.Int64
-	c.onCompile = func(string) { compiles.Add(1) }
+	s.onCompile = func(string) { compiles.Add(1) }
 
 	bad := ": main no-such-word ;"
-	if _, _, err := c.Get(bad); err == nil {
-		t.Fatal("bad source compiled")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("failed compile entered the cache (size %d)", c.Len())
-	}
-	if _, _, err := c.Get(bad); err == nil {
-		t.Fatal("bad source compiled on retry")
+	for i := 0; i < 2; i++ {
+		if _, _, err := s.Compile(bad); Classify(err) != ClassCompile {
+			t.Fatalf("attempt %d: bad source gave %v, want a compile error", i, err)
+		}
+		if st := s.Stats(); st.CacheSize != 0 {
+			t.Fatalf("failed compile entered the cache (size %d)", st.CacheSize)
+		}
 	}
 	if got := compiles.Load(); got != 2 {
 		t.Errorf("%d compiles, want 2 (failures are never cached)", got)
 	}
-	if c.Len() != 0 {
-		t.Errorf("cache size %d after failures, want 0", c.Len())
+	if st := s.Stats(); st.CacheMisses != 2 || st.CacheHits != 0 {
+		t.Errorf("misses %d hits %d, want 2/0 (a failed build is a miss)", st.CacheMisses, st.CacheHits)
+	}
+	if compile(t, s, srcN(7)) {
+		t.Error("fixed source reported as a hit")
+	}
+}
+
+// TestCacheIsTheArtifactStore runs A, B, A, C, A with a two-program
+// cache: C evicts B, the least recently used, and the last A is a hit
+// on the unit whose closures the compiled engine already lowered. The
+// service's cache counters are the store's, so they cannot disagree
+// about what was cached.
+func TestCacheIsTheArtifactStore(t *testing.T) {
+	s := cacheService(t, 2)
+	run := func(src string) *Response {
+		t.Helper()
+		resp, err := s.Run(context.Background(), Request{Source: src, Engine: "compiled"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	a, b, c := srcN(201), srcN(202), srcN(203)
+	run(a)
+	run(b)
+	run(a)
+	run(c)
+	before, _ := compiled.Counters()
+	if !run(a).CacheHit {
+		t.Error("A was not a hit after A, B, A, C")
+	}
+	if after, _ := compiled.Counters(); after != before {
+		t.Errorf("the last run of A lowered %d programs, want 0", after-before)
+	}
+	if run(b).CacheHit {
+		t.Error("B was a hit after C evicted it")
+	}
+	st := s.Stats()
+	if st.CacheHits != st.Artifact.MemoryHits || st.CacheCoalesced != st.Artifact.Coalesced {
+		t.Errorf("service hits %d coalesced %d, store memory hits %d coalesced %d",
+			st.CacheHits, st.CacheCoalesced, st.Artifact.MemoryHits, st.Artifact.Coalesced)
+	}
+	if st.CacheMisses != st.Artifact.Misses || st.CacheEvictions != st.Artifact.Evictions {
+		t.Errorf("service misses %d evictions %d, store misses %d evictions %d",
+			st.CacheMisses, st.CacheEvictions, st.Artifact.Misses, st.Artifact.Evictions)
+	}
+	if st.CacheHits != 2 || st.CacheMisses != 4 || st.CacheEvictions != 2 {
+		t.Errorf("hits %d misses %d evictions %d, want 2/4/2",
+			st.CacheHits, st.CacheMisses, st.CacheEvictions)
+	}
+}
+
+// TestCacheHitRunAllocs pins the allocations of a cache-hit Run, the
+// path every repeated request takes.
+func TestCacheHitRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled machines under the race detector")
+	}
+	s := cacheService(t, 8)
+	req := Request{Source: ": main + . ;", Args: []vm.Cell{30, 12}}
+	if _, err := s.Run(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	const maxAllocs = 11
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := s.Run(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > maxAllocs {
+		t.Errorf("a cache-hit Run allocates %v times, want at most %d", n, maxAllocs)
 	}
 }
 

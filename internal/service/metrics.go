@@ -115,7 +115,6 @@ type Metrics struct {
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	cacheCoalesced atomic.Int64 // waited on another request's compile
-	cacheEvictions atomic.Int64
 
 	analysisProved   atomic.Int64 // executions of depth-proved programs
 	analysisUnproven atomic.Int64 // executions that kept dynamic checks
@@ -225,6 +224,11 @@ type Snapshot struct {
 	Requests  int64 `json:"requests"`
 	Completed int64 `json:"completed"`
 
+	// CacheHits counts lookups the program cache served from memory,
+	// CacheCoalesced those that joined another request's build, and
+	// CacheMisses those that built the program or loaded it from disk,
+	// failed builds included. CacheEvictions and CacheSize are the
+	// artifact store's own evictions and resident units.
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheCoalesced int64 `json:"cache_coalesced"`
@@ -271,10 +275,11 @@ type Snapshot struct {
 	BatchSizeBounds   [NumBatchBuckets]string `json:"batch_size_bucket_bounds"`
 	BatchInputResults map[string]int64        `json:"batch_input_results"`
 
-	// Artifact is the program cache's artifact-store tier accounting:
-	// how compiles were satisfied (memory / disk / built from source),
-	// corrupt disk entries recomputed, units persisted, and LRU
-	// evictions. Disk counters stay 0 without Config.CacheDir.
+	// Artifact is the program cache's tier accounting, the artifact
+	// store's counters: how lookups were satisfied (memory / joined
+	// build / disk / built from source), corrupt disk entries
+	// recomputed, units persisted, and LRU evictions. Disk counters
+	// stay 0 without Config.CacheDir.
 	Artifact ArtifactSnapshot `json:"artifact"`
 
 	// Errors counts finished requests by class wire name, including
@@ -338,7 +343,6 @@ func (m *Metrics) snapshot() Snapshot {
 		CacheHits:           m.cacheHits.Load(),
 		CacheMisses:         m.cacheMisses.Load(),
 		CacheCoalesced:      m.cacheCoalesced.Load(),
-		CacheEvictions:      m.cacheEvictions.Load(),
 		AnalysisProved:      m.analysisProved.Load(),
 		AnalysisUnproven:    m.analysisUnproven.Load(),
 		QuickenedPrograms:   m.quickenedPrograms.Load(),

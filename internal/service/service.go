@@ -5,11 +5,11 @@
 //
 // The pieces, front to back:
 //
-//   - a content-addressed program cache (SHA-256 of compile options +
-//     Forth source) with bounded LRU eviction and single-flight
-//     compilation, so N concurrent requests for the same source
-//     trigger exactly one compile and only verified programs are ever
-//     cached;
+//   - the program cache: one artifact.Store per service, addressed by
+//     SHA-256 of compile options + Forth source. The store owns the
+//     cache policy (bounded LRU, single-flight builds, the optional
+//     disk tier), so N concurrent requests for the same source trigger
+//     exactly one compile and only verified programs are ever cached;
 //   - the engine registry (internal/engine): requests select an engine
 //     by wire name, and every engine the registry knows — baselines,
 //     dynamic and static stack caching, the generated per-state
@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"stackcache/internal/artifact"
 	"stackcache/internal/compiled"
 	"stackcache/internal/engine"
 	"stackcache/internal/forth"
@@ -62,7 +63,10 @@ type Config struct {
 	// instead of building an unbounded backlog.
 	QueueDepth int
 
-	// CacheSize bounds the program cache (default 256 entries).
+	// CacheSize bounds the program cache, the service's artifact
+	// store (default 256 units). Past the bound the least recently
+	// used unit is evicted; a later request for it builds it again
+	// (or loads it from CacheDir).
 	CacheSize int
 
 	// DefaultMaxSteps is the step budget for requests that do not set
@@ -96,7 +100,7 @@ type Config struct {
 
 	// Quicken enables cache-time quickening: programs entering the
 	// cache are rewritten to superinstruction form (vm.Quicken) and
-	// re-verified, so every execution of the entry — on any engine —
+	// re-verified, so every execution of the program — on any engine —
 	// runs the fused bytecode. Observable behavior is unchanged: a
 	// superinstruction counts one step per constituent and reports its
 	// first constituent's errors, so quickened and unquickened runs
@@ -157,25 +161,26 @@ func (c Config) withDefaults() Config {
 // Request is one execution to perform.
 type Request struct {
 	// Source is the Forth program; it must define main.
-	Source string
+	Source string `json:"source"`
 
 	// Engine selects the execution engine by its registry wire name
 	// ("switch", "dynamic", "static", ...). Empty means DefaultEngine.
-	Engine string
+	Engine string `json:"engine"`
 
 	// MaxSteps is this request's step budget; 0 means the service
 	// default. Budgets above the service ceiling are rejected.
-	MaxSteps int64
+	MaxSteps int64 `json:"max_steps"`
 
 	// Args is the program's initial data stack, bottom first — the
 	// compile-once/execute-many payoff: the cache key covers only
 	// (options, source), so one cached program serves any number of
 	// argument sets without recompiling.
-	Args []vm.Cell
+	Args []vm.Cell `json:"args"`
 
 	// Mem, when non-empty, is overlaid over the program's data image
-	// starting at address 0. It must fit the program's memory.
-	Mem []byte
+	// starting at address 0. It must fit the program's memory. JSON
+	// carries it base64-encoded.
+	Mem []byte `json:"mem"`
 
 	// Inputs, when non-empty, makes this a batch request: the program
 	// is executed once per input, all on one worker pass with one
@@ -184,7 +189,7 @@ type Request struct {
 	// per-request overhead (queue hand-off, machine setup, response
 	// framing) that dominates small programs. Mutually exclusive with
 	// the singleton Args/Mem fields; bounded by Config.MaxBatchInputs.
-	Inputs []Input
+	Inputs []Input `json:"inputs"`
 }
 
 // Input is one execution's inputs within a batch request: its own
@@ -193,11 +198,11 @@ type Request struct {
 // shared by the whole batch.
 type Input struct {
 	// Args is this input's initial data stack, bottom first.
-	Args []vm.Cell
+	Args []vm.Cell `json:"args"`
 
 	// Mem, when non-empty, is overlaid over the program's data image
 	// starting at address 0. It must fit the program's memory.
-	Mem []byte
+	Mem []byte `json:"mem"`
 }
 
 // Response is the outcome of a successfully executed request. When Run
@@ -205,27 +210,27 @@ type Input struct {
 // still carries the partial output and step count for diagnosis.
 type Response struct {
 	// Key is the program's content address in the cache.
-	Key string
+	Key string `json:"key"`
 
 	// Engine echoes the engine that ran the program.
-	Engine string
+	Engine string `json:"engine"`
 
 	// Output is everything the program printed, clamped to the
 	// service's output budget.
-	Output string
+	Output string `json:"output"`
 
 	// Stack is the final data stack, bottom first, truncated to the
 	// service's MaxStackCells. StackDepth is the true final depth, so
 	// a truncated reply is detectable (StackDepth > len(Stack)).
-	Stack      []vm.Cell
-	StackDepth int
+	Stack      []vm.Cell `json:"stack"`
+	StackDepth int       `json:"stack_depth"`
 
 	// Steps is the number of instructions executed.
-	Steps int64
+	Steps int64 `json:"steps"`
 
 	// CacheHit reports whether the program was served from the cache
 	// (including coalescing onto another request's in-flight compile).
-	CacheHit bool
+	CacheHit bool `json:"cache_hit"`
 
 	// Analysis reports the abstract interpreter's verdict for the
 	// program: "proved" when per-pc stack-depth bounds were established,
@@ -233,19 +238,19 @@ type Response struct {
 	// check-elided path (token, threaded, traced, compiled) skip stack
 	// bounds checks on a proved program; the others, the default switch
 	// engine among them, keep every check either way.
-	Analysis string
+	Analysis string `json:"analysis"`
 
 	// Quickened reports whether the cached program was rewritten to
 	// superinstruction form at insert time (false when quickening is
 	// disabled or nothing in the program matched the fusion table).
-	Quickened bool
+	Quickened bool `json:"quickened"`
 
 	// Optimized reports whether the cached program is the static
 	// optimizer's rewrite, adopted only after the translation validator
 	// (vm.CheckTranslation) certified it observably equivalent to the
 	// compiled source program (false when optimization is disabled, the
 	// optimizer declined, or the validator refused the rewrite).
-	Optimized bool
+	Optimized bool `json:"optimized"`
 
 	// StepsAccounting names the instruction stream Steps counted (and
 	// the step budget bound): "source" when the executed program is the
@@ -253,20 +258,22 @@ type Response struct {
 	// rewrite — which the validator guarantees takes no more steps than
 	// the source program, so a budget sufficient for the source program
 	// is always sufficient for the rewrite.
-	StepsAccounting string
+	StepsAccounting string `json:"steps_accounting"`
 
 	// SourceSteps is the executed step count in source-program terms
 	// when the service knows it: equal to Steps for "source" accounting,
 	// and 0 under "optimized" accounting (the source program was not
 	// executed, so its step count is unknown — only bounded below by
-	// Steps).
-	SourceSteps int64
+	// Steps). JSON omits it when 0.
+	SourceSteps int64 `json:"source_steps,omitempty"`
 
 	// Results holds the per-input outcomes of a batch request, in
 	// input order; nil for singleton requests. A batch response's
 	// singleton Output/Stack fields stay empty — each input's state is
-	// in its own result — and Steps is the total across inputs.
-	Results []InputResult
+	// in its own result — and Steps is the total across inputs. It
+	// has no JSON form here: a result's Err needs one that flattens it
+	// into a class name and a message, which vmd adds.
+	Results []InputResult `json:"-"`
 }
 
 // InputResult is one input's outcome within a batch response. Inputs
@@ -332,13 +339,15 @@ func Classify(err error) ErrorClass {
 }
 
 // task is one queued execution: a ready-to-run (compiled, verified,
-// prepared) program, the engine to run it under, and the per-request
-// ExecSpec. No per-engine plumbing — the engine seam is the interface.
-// For batch requests, inputs is non-nil and spec's Args/Mem are
-// per-input (the spec carries the shared budgets and facts).
+// prepared) unit with its response key, the engine to run it under,
+// and the per-request ExecSpec. No per-engine plumbing — the engine
+// seam is the interface. For batch requests, inputs is non-nil and
+// spec's Args/Mem are per-input (the spec carries the shared budgets
+// and facts).
 type task struct {
 	ctx    context.Context
-	entry  *Entry
+	key    string
+	unit   *artifact.Unit
 	eng    engine.Engine
 	spec   interp.ExecSpec
 	inputs []Input // non-nil for batch requests
@@ -354,8 +363,14 @@ type result struct {
 // submit with Run, observe with Stats, and stop it with Close.
 type Service struct {
 	cfg     Config
-	cache   *ProgramCache
+	optKey  string          // cfg.CompileOptions.CacheKey(), computed once
+	store   *artifact.Store // the program cache
 	metrics Metrics
+
+	// onCompile, when set, runs at the start of every real compiler
+	// invocation. Tests use it to prove single-flight dedup (exactly
+	// one compile per source) and to hold compiles open.
+	onCompile func(src string)
 
 	engines     map[string]engine.Engine
 	engineNames []string // registry order, for error messages and introspection
@@ -377,6 +392,8 @@ func New(cfg Config) (*Service, error) {
 	engines := engine.All()
 	s := &Service{
 		cfg:     cfg,
+		optKey:  cfg.CompileOptions.CacheKey(),
+		store:   newStore(cfg),
 		engines: make(map[string]engine.Engine, len(engines)),
 		tasks:   make(chan *task, cfg.QueueDepth),
 	}
@@ -384,10 +401,6 @@ func New(cfg Config) (*Service, error) {
 		s.engines[e.Name()] = e
 		s.engineNames = append(s.engineNames, e.Name())
 	}
-	s.cache = NewProgramCache(cfg.CacheSize, cfg.CompileOptions, &s.metrics)
-	s.cache.quicken = cfg.Quicken
-	s.cache.optimize = cfg.Optimize
-	s.cache.cacheDir = cfg.CacheDir
 	s.machines.New = func() any { return new(interp.Machine) }
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -414,12 +427,15 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// Stats snapshots the metrics registry.
+// Stats snapshots the metrics registry; the cache's evictions and
+// size are read from the store.
 func (s *Service) Stats() Snapshot {
 	snap := s.metrics.snapshot()
-	snap.CacheSize = s.cache.Len()
+	c := s.store.Counters()
+	snap.CacheEvictions = c.Evictions
+	snap.CacheSize = s.store.Len()
 	snap.CompiledPrograms, snap.CompiledProved = compiled.Counters()
-	snap.Artifact = artifactSnapshot(s.cache.artifacts().Counters())
+	snap.Artifact = artifactSnapshot(c)
 	return snap
 }
 
@@ -428,13 +444,13 @@ func (s *Service) Stats() Snapshot {
 // API behind vmd's /compile endpoint.
 func (s *Service) Compile(src string) (key string, cacheHit bool, err error) {
 	s.metrics.requests.Add(1)
-	entry, kind, err := s.cache.Get(src)
+	key, _, hit, err := s.lookup(src)
 	if err != nil {
 		s.metrics.observeDone(ClassCompile)
 		return "", false, classified(ClassCompile, err)
 	}
 	s.metrics.observeDone(ClassOK)
-	return entry.Key, kind != lookupMiss, nil
+	return key, hit, nil
 }
 
 // Run compiles (or looks up) the request's program, queues it on the
@@ -498,41 +514,42 @@ func (s *Service) Run(ctx context.Context, req Request) (*Response, error) {
 	// Compile (or join an in-flight compile) before queueing, so the
 	// bounded queue holds only ready-to-run work and compile storms
 	// dedup at the cache, not in the pool.
-	entry, kind, err := s.cache.Get(req.Source)
+	key, u, hit, err := s.lookup(req.Source)
 	if err != nil {
 		return s.fail(ClassCompile, err)
 	}
-	if len(req.Mem) > entry.Prog.MemSize {
+	if len(req.Mem) > u.Prog.MemSize {
 		return s.fail(ClassBadRequest,
 			fmt.Errorf("service: %d-byte memory overlay exceeds the program's %d-byte memory",
-				len(req.Mem), entry.Prog.MemSize))
+				len(req.Mem), u.Prog.MemSize))
 	}
 	for i, in := range req.Inputs {
-		if len(in.Mem) > entry.Prog.MemSize {
+		if len(in.Mem) > u.Prog.MemSize {
 			return s.fail(ClassBadRequest,
 				fmt.Errorf("service: input %d: %d-byte memory overlay exceeds the program's %d-byte memory",
-					i, len(in.Mem), entry.Prog.MemSize))
+					i, len(in.Mem), u.Prog.MemSize))
 		}
 	}
-	// Engines with a per-program compile step (static plans) run it
-	// here for the same reason; the engine caches the result, so this
-	// is once per program, not per request.
+	// Engines with a per-program compile step (static plans, AOT
+	// closures) run it here for the same reason; the blob is filed on
+	// the unit, so this is once per program, not per request.
 	if p, ok := eng.(engine.Preparer); ok {
-		if err := p.Prepare(entry.Unit); err != nil {
+		if err := p.Prepare(u); err != nil {
 			return s.fail(ClassCompile, err)
 		}
 	}
 
 	t := &task{
-		ctx:   ctx,
-		entry: entry,
-		eng:   eng,
+		ctx:  ctx,
+		key:  key,
+		unit: u,
+		eng:  eng,
 		spec: interp.ExecSpec{
 			MaxSteps: maxSteps,
 			MaxOut:   s.cfg.MaxOutputBytes,
 			Args:     req.Args,
 			Mem:      req.Mem,
-			Facts:    entry.Facts,
+			Facts:    u.Facts(),
 		},
 		inputs: req.Inputs,
 		done:   make(chan result, 1),
@@ -552,18 +569,18 @@ func (s *Service) Run(ctx context.Context, req Request) (*Response, error) {
 			fmt.Errorf("service: queue full (%d queued)", s.cfg.QueueDepth))
 	}
 
-	return s.await(ctx, t, kind)
+	return s.await(ctx, t, hit)
 }
 
 // await blocks on the task's result or the caller's context. It is
 // the sole recorder of per-request completion, so completed-by-class
 // sums to requests even when a canceled task is still executed by a
 // worker.
-func (s *Service) await(ctx context.Context, t *task, kind lookupKind) (*Response, error) {
+func (s *Service) await(ctx context.Context, t *task, cacheHit bool) (*Response, error) {
 	deliver := func(r result) (*Response, error) {
 		s.metrics.observeDone(Classify(r.err))
 		if r.resp != nil {
-			r.resp.CacheHit = kind != lookupMiss
+			r.resp.CacheHit = cacheHit
 		}
 		return r.resp, r.err
 	}
@@ -656,7 +673,7 @@ func (s *Service) recycle(m *interp.Machine) {
 // consecutive pooled requests) are exactly as isolated as runs on
 // fresh machines.
 func (s *Service) runInput(m *interp.Machine, t *task, spec interp.ExecSpec) InputResult {
-	m.Rebind(t.entry.Prog)
+	m.Rebind(t.unit.Prog)
 	if err := m.ApplySpec(spec); err != nil {
 		// Unreachable after Run's validation; classify defensively.
 		return InputResult{Err: classified(ClassBadRequest, err)}
@@ -683,7 +700,7 @@ func (s *Service) runInput(m *interp.Machine, t *task, spec interp.ExecSpec) Inp
 			fmt.Errorf("service: final stack depth %d exceeds the %d-cell response cap",
 				m.SP, s.cfg.MaxStackCells))
 	}
-	s.metrics.observeAnalysis(t.entry.Facts.Proved)
+	s.metrics.observeAnalysis(t.spec.Facts.Proved)
 	r := InputResult{
 		Output:     string(out),
 		Stack:      append([]vm.Cell(nil), m.Stack[:shipped]...),
@@ -702,17 +719,17 @@ func (s *Service) execute(t *task) (*Response, error) {
 	defer s.recycle(m)
 	r := s.runInput(m, t, t.spec)
 	resp := &Response{
-		Key:        t.entry.Key,
+		Key:        t.key,
 		Engine:     t.eng.Name(),
 		Output:     r.Output,
 		Stack:      r.Stack,
 		StackDepth: r.StackDepth,
 		Steps:      r.Steps,
-		Analysis:   t.entry.Facts.Outcome(),
-		Quickened:  t.entry.Quickened,
-		Optimized:  t.entry.Optimized,
+		Analysis:   t.spec.Facts.Outcome(),
+		Quickened:  t.unit.Quickened,
+		Optimized:  t.unit.Optimized,
 	}
-	resp.StepsAccounting, resp.SourceSteps = stepsAccounting(t.entry.Optimized, r.Steps)
+	resp.StepsAccounting, resp.SourceSteps = stepsAccounting(t.unit.Optimized, r.Steps)
 	if r.Err != nil {
 		// A failed execution still returns the partial response for
 		// diagnosis.
@@ -730,11 +747,11 @@ func (s *Service) executeBatch(t *task) *Response {
 	m := s.machines.Get().(*interp.Machine)
 	defer s.recycle(m)
 	resp := &Response{
-		Key:       t.entry.Key,
+		Key:       t.key,
 		Engine:    t.eng.Name(),
-		Analysis:  t.entry.Facts.Outcome(),
-		Quickened: t.entry.Quickened,
-		Optimized: t.entry.Optimized,
+		Analysis:  t.spec.Facts.Outcome(),
+		Quickened: t.unit.Quickened,
+		Optimized: t.unit.Optimized,
 		Results:   make([]InputResult, len(t.inputs)),
 	}
 	for i, in := range t.inputs {
@@ -746,7 +763,7 @@ func (s *Service) executeBatch(t *task) *Response {
 		s.metrics.observeBatchInput(r.Class())
 	}
 	s.metrics.observeBatch(len(t.inputs))
-	resp.StepsAccounting, resp.SourceSteps = stepsAccounting(t.entry.Optimized, resp.Steps)
+	resp.StepsAccounting, resp.SourceSteps = stepsAccounting(t.unit.Optimized, resp.Steps)
 	return resp
 }
 

@@ -140,6 +140,7 @@ func ProveTranslation(orig *Proof, opt *Program) (*Proof, error) {
 	n := len(o.Code) + len(t.Code)
 	v := &validator{
 		o: o, t: t, seen: make(map[pcPair]bool),
+		slo: newSLMemo(o), slt: newSLMemo(t),
 		epCap:  4*n + 256,
 		budget: ctStepsPerInstr*n + ctStepsBase,
 	}
@@ -166,6 +167,9 @@ type validator struct {
 	seen     map[pcPair]bool
 	queue    []pcPair
 	overflow bool
+
+	// slo and slt classify the straight-line words of o and t.
+	slo, slt slMemo
 
 	// epCap bounds one episode's symbolic steps; steps counts those
 	// of every pair so far, against budget (see ctStepsPerInstr).
@@ -199,10 +203,10 @@ func (v *validator) checkPair(pair pcPair) error {
 	ctx := &v.ctx
 	ctx.reset()
 	eo, et := &v.eo, &v.et
-	if err := runEpisode(ctx, eo, v.o, pair.o, v.epCap); err != nil {
+	if err := runEpisode(ctx, eo, v.o, &v.slo, pair.o, v.epCap); err != nil {
 		return fmt.Errorf("vm: checktranslation: original pc %d: %w", pair.o, err)
 	}
-	if err := runEpisode(ctx, et, v.t, pair.t, v.epCap); err != nil {
+	if err := runEpisode(ctx, et, v.t, &v.slt, pair.t, v.epCap); err != nil {
 		return fmt.Errorf("vm: checktranslation: rewritten pc %d: %w", pair.t, err)
 	}
 	if v.steps += eo.steps + et.steps; v.steps > v.budget {
@@ -461,64 +465,78 @@ type episode struct {
 	steps  int
 }
 
-// inlineFollowDepth bounds the call-nesting the classifier below will
-// chase. Depth-proven programs have acyclic call graphs, so this is a
-// backstop, not a semantic limit.
-const inlineFollowDepth = 16
-
-// expandedStraightLen is the validator's own straight-line-word
-// classifier: it returns the instruction count (including the final
-// OpExit) that the word at entry would have after inlining every call
-// in it to closure, or ok == false if the word is not straight-line
-// under that closure (control flow, return-stack traffic, a
-// too-large or non-straight callee). This mirrors the optimizer's
-// round-iterated inlining — a callee is followable only when its own
-// expanded body fits inlineMaxBody, which is exactly the state the
-// optimizer's per-round straightLineBody check sees — but is written
-// independently: if the two ever disagree, episodes end at different
-// control points and validation refuses harmlessly.
-func expandedStraightLen(code []Instr, entry, depth int) (int, bool) {
-	if depth <= 0 {
-		return 0, false
-	}
-	n := 0
-	for pc := entry; pc < len(code) && pc-entry < inlineMaxBody; pc++ {
-		op := code[pc].Op
-		if op == OpExit {
-			return n + 1, true
-		}
-		if op == OpCall {
-			cn, ok := expandedStraightLen(code, int(code[pc].Arg), depth-1)
-			if !ok || cn > inlineMaxBody {
-				return 0, false
-			}
-			n += cn - 1 // the callee body minus its exit replaces the call
-			continue
-		}
-		if !op.Valid() || IsSuper(op) {
-			return 0, false
-		}
-		eff := EffectOf(op)
-		if eff.Control || eff.RIn != 0 || eff.ROut != 0 {
-			return 0, false
-		}
-		n++
-	}
-	return 0, false
+// slMemo is the validator's own straight-line classifier for one
+// program, independent of the optimizer's inlining heuristics: the
+// code from pc is straight-line when it reaches an OpExit through
+// instructions without control flow or return-stack traffic, and
+// through calls whose callees are straight-line in turn, of any
+// length. A call cycle is not straight-line. Each pc gets one verdict
+// per validation, so classifying costs time linear in the program;
+// following a straight-line callee is paid for by the episode step
+// cap and the work budget.
+type slMemo struct {
+	code    []Instr
+	verdict []slVerdict
 }
 
-// slBody reports whether a call to the word at entry is followed
-// inline by the episode runner.
-func slBody(code []Instr, entry int) bool {
-	n, ok := expandedStraightLen(code, entry, inlineFollowDepth)
-	return ok && n <= inlineMaxBody
+type slVerdict uint8
+
+const (
+	slUnknown slVerdict = iota
+	slPending           // on the current classification path
+	slYes
+	slNo
+)
+
+func newSLMemo(p *Program) slMemo {
+	return slMemo{code: p.Code, verdict: make([]slVerdict, len(p.Code))}
+}
+
+// straight reports whether a call to the word at entry is followed
+// inline by the episode runner. It walks forward from entry to the
+// first pc with a verdict, recursing into callees, and gives every pc
+// it walked the verdict of the walk. Reaching a pending pc means a
+// callee leads back into the walk: a cycle.
+func (m *slMemo) straight(entry int) bool {
+	v, pc := slNo, entry
+	for pc < len(m.code) {
+		if known := m.verdict[pc]; known != slUnknown {
+			if known == slYes {
+				v = slYes
+			}
+			break
+		}
+		m.verdict[pc] = slPending
+		op := m.code[pc].Op
+		pc++
+		if op == OpExit {
+			v = slYes
+			break
+		}
+		if op == OpCall {
+			if !m.straight(int(m.code[pc-1].Arg)) {
+				break
+			}
+			continue
+		}
+		// The program is verified and unquickened, so op is valid and
+		// no superinstruction.
+		if eff := &effects[op]; eff.Control || eff.RIn != 0 || eff.ROut != 0 {
+			break
+		}
+	}
+	for i := entry; i < pc; i++ {
+		m.verdict[i] = v
+	}
+	return v == slYes
 }
 
 // runEpisode symbolically executes p from pc until its next dynamic
 // control decision, following nops, forward branches,
-// constant-decided conditionals and straight-line calls inline. It
-// records the episode in e, reusing e's slices.
-func runEpisode(ctx *epCtx, e *episode, p *Program, pc int, stepCap int) error {
+// constant-decided conditionals and straight-line calls (as sl
+// classifies p's words) inline. It records the episode in e, reusing
+// e's slices.
+func runEpisode(ctx *epCtx, e *episode, p *Program, sl *slMemo, pc int, stepCap int) error {
 	code := p.Code
 	*e = episode{st: e.st[:0], rst: e.rst[:0], events: e.events[:0]}
 	var inlineRet []int
@@ -695,7 +713,7 @@ func runEpisode(ctx *epCtx, e *episode, p *Program, pc int, stepCap int) error {
 
 		case op == OpCall:
 			callee := int(ins.Arg)
-			if slBody(code, callee) {
+			if sl.straight(callee) {
 				// Straight-line word: follow the body inline. Its
 				// return-stack frame is transient (the body cannot
 				// touch the return stack), so the call/exit pair has

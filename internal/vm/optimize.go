@@ -165,9 +165,10 @@ func (r *OptResult) PassOps(p OptPass) int {
 }
 
 // inlineMaxBody bounds the length (instructions, including the final
-// OpExit) of a word body the inliner will expand. The translation
-// validator uses the same bound for its symbolic call inlining; the
-// two constants must agree or validation refuses harmlessly.
+// OpExit) of a word body the inliner will expand. It is the
+// optimizer's heuristic alone: the translation validator follows
+// straight-line callees of any length, so no bound of its own has to
+// agree with this one.
 const inlineMaxBody = 16
 
 // optimizeGrowthCap bounds code growth from inlining. A program that
@@ -251,9 +252,7 @@ func Optimize(p *Program) *OptResult {
 //
 // OptimizeProof iterates its pipeline until no call site targets a
 // straight-line word (inlining can straighten a word whose only
-// control flow was an inlined call or a decided branch). This closure
-// property is what lets the validator decide symbolic call inlining
-// per side, from each program alone.
+// control flow was an inlined call or a decided branch).
 func OptimizeProof(pf *Proof) *OptResult {
 	if pf == nil || pf.prog == nil {
 		return &OptResult{} // binds no program: nothing to rewrite
@@ -297,8 +296,8 @@ func OptimizeProof(pf *Proof) *OptResult {
 		return res
 	}
 	if hasLeafCallSite(cur) {
-		// Closure not reached within the round budget: the validator's
-		// per-side inline rule would not match.
+		// Closure not reached within the round budget: serve the
+		// input rather than a partly inlined rewrite.
 		return unchanged(pf.prog, src)
 	}
 	res.Prog = cur
@@ -318,9 +317,8 @@ func unchanged(prog, src *Program) *OptResult {
 }
 
 // hasLeafCallSite reports whether any instruction calls a
-// straight-line word — the condition the optimizer must drive to
-// false so the validator's per-side inline rule matches on both
-// programs.
+// straight-line word — the condition the optimizer's rounds drive to
+// false.
 func hasLeafCallSite(p *Program) bool {
 	for _, ins := range p.Code {
 		if ins.Op == OpCall {

@@ -1,12 +1,14 @@
 package vm_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"stackcache/internal/forth"
+	"stackcache/internal/interp"
 	"stackcache/internal/vm"
 	"stackcache/internal/workloads"
 )
@@ -144,5 +146,88 @@ func TestCheckTranslationWorkBudget(t *testing.T) {
 	}
 	if !raceEnabled && fastest > 100*time.Millisecond {
 		t.Errorf("refusal took %v, want under 100ms", fastest)
+	}
+}
+
+// foldedCalleeSources are two generated tiny-workload programs whose
+// rewrites the validator once refused ("control diverges: call vs
+// halt"). The optimizer inlines h0 into main, folds the result, and in
+// a later round inlines main, now short, into the entry stub. Sizing
+// main before folding, the validator ended the original's episode at
+// the call to main while the rewrite's ran on to halt.
+var foldedCalleeSources = []string{
+	"variable v0 : h0 or 98 -28 3 / + xor ; : main 21 6 -10 and 6 lshift 37 6 / h0 v0 +! v0 @ . . ;",
+	"variable v0 : h0 -8 2 / xor + ; : main 128 -12 1+ 0 rshift 2dup or h0 v0 +! v0 @ . . ;",
+}
+
+// TestCheckTranslationFollowsFoldedCallees checks that both rewrites
+// validate and that switch runs them to the source's output and stack
+// in no more steps.
+func TestCheckTranslationFollowsFoldedCallees(t *testing.T) {
+	for _, src := range foldedCalleeSources {
+		p, err := forth.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := vm.Optimize(p)
+		if !r.Changed {
+			t.Fatalf("%q: not rewritten", src)
+		}
+		if err := vm.CheckTranslation(p, r.Prog); err != nil {
+			t.Fatalf("%q: rewrite refused: %v", src, err)
+		}
+		ms, mo := interp.NewMachine(p), interp.NewMachine(r.Prog)
+		if err := interp.RunSwitch(ms); err != nil {
+			t.Fatalf("%q: source run: %v", src, err)
+		}
+		if err := interp.RunSwitch(mo); err != nil {
+			t.Fatalf("%q: rewrite run: %v", src, err)
+		}
+		if want, got := ms.Snapshot(), mo.Snapshot(); !want.Equal(got) || got.Steps > want.Steps {
+			t.Errorf("%q: rewrite ran to %+v, source to %+v", src, got, want)
+		}
+	}
+}
+
+// callChain returns ": w0 ;", then k words that each call the previous
+// one 15 times, then a main that calls the last: every word is
+// straight-line, and inlining main in full takes 15^k calls.
+func callChain(k int) string {
+	var b strings.Builder
+	b.WriteString(": w0 ;\n")
+	for i := 1; i <= k; i++ {
+		fmt.Fprintf(&b, ": w%d%s ;\n", i, strings.Repeat(fmt.Sprintf(" w%d", i-1), 15))
+	}
+	fmt.Fprintf(&b, ": main 1 2 + . w%d ;\n", k)
+	return b.String()
+}
+
+// TestCheckTranslationCallChain is the classifier's denial-of-service
+// case: a classifier that sizes each callee afresh at every call site
+// takes time exponential in k (about 30 s at k = 8). Classified once
+// per word, the chain gets its verdict from the work budget at once.
+func TestCheckTranslationCallChain(t *testing.T) {
+	const k = 8
+	p, err := forth.Compile(callChain(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := vm.Prove(p)
+	if err != nil || !pf.Facts().Proved {
+		t.Fatalf("test program is not proven: %v", err)
+	}
+	r := vm.OptimizeProof(pf)
+	if !r.Changed {
+		t.Fatal("test program was not rewritten")
+	}
+	// The fastest of three attempts, so a busy host does not fail it.
+	fastest := time.Hour
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		vm.ProveTranslation(pf, r.Prog)
+		fastest = min(fastest, time.Since(start))
+	}
+	if !raceEnabled && fastest > 100*time.Millisecond {
+		t.Errorf("verdict took %v, want under 100ms", fastest)
 	}
 }

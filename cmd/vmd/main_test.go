@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -56,5 +57,35 @@ func TestRunWireBytes(t *testing.T) {
 		if got := strings.TrimSuffix(rec.Body.String(), "\n"); rec.Code != c.status || got != c.want {
 			t.Errorf("POST /run %s:\ngot  %d %s\nwant %d %s", c.body, rec.Code, got, c.status, c.want)
 		}
+	}
+}
+
+// TestStatsArtifactKeys pins the keys of /stats' "artifact" object and
+// their order: the object is artifact.Counters encoded as is, so a
+// renamed or reordered counter field shows here rather than in clients.
+func TestStatsArtifactKeys(t *testing.T) {
+	svc, err := service.New(service.Config{Workers: 1, Quicken: true, Optimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	s := &server{svc: svc}
+	run := httptest.NewRecorder()
+	s.handleRun(run, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(`{"source": ": main 1 2 + . ;"}`)))
+	if run.Code != http.StatusOK {
+		t.Fatalf("POST /run: %d %s", run.Code, run.Body)
+	}
+	rec := httptest.NewRecorder()
+	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var stats struct {
+		Artifact json.RawMessage `json:"artifact"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatalf("GET /stats: %v", err)
+	}
+	want := `{"memory_hits":0,"disk_hits":0,"misses":1,"coalesced":0,"corrupt_recomputed":0,` +
+		`"persisted":0,"persist_errors":0,"evictions":0,"optimize_refused":0}`
+	if got := string(stats.Artifact); got != want {
+		t.Errorf("GET /stats artifact:\ngot  %s\nwant %s", got, want)
 	}
 }

@@ -147,17 +147,28 @@ func TestCompiledBudgetSweep(t *testing.T) {
 // TestCompiledCorruptExitEntry pushes mid-block pcs — including the
 // middle of a fused run and one past the end of the program — onto the
 // return stack and exits through them. The compiled engine must land
-// on exact per-instruction semantics wherever the jump enters.
+// on exact per-instruction semantics wherever the jump enters. The
+// blocks that end in a control transfer (branch, 0branch taken and not
+// taken, call, exit, loop) make the single-step path execute that
+// transfer and keep going to halt, so a fallback that resumes anywhere
+// but where the transfer went diverges from switch.
 func TestCompiledCorruptExitEntry(t *testing.T) {
 	ce, se := compiledRunner(t)
 	ins := func(op vm.Opcode, arg vm.Cell) vm.Instr { return vm.Instr{Op: op, Arg: arg} }
-	for _, target := range []vm.Cell{3, 5, 6, 7, 8, 9, 10, 99, -1} {
-		p := &vm.Program{
-			MemSize: 64,
-			Code: []vm.Instr{
-				ins(vm.OpLit, target),
-				ins(vm.OpToR, 0),
-				ins(vm.OpExit, 0),
+	// exitTo is the corrupt return: push target, move it to the return
+	// stack, exit through it.
+	exitTo := func(target vm.Cell) []vm.Instr {
+		return []vm.Instr{ins(vm.OpLit, target), ins(vm.OpToR, 0), ins(vm.OpExit, 0)}
+	}
+	cases := []struct {
+		name    string
+		code    func(target vm.Cell) []vm.Instr
+		targets []vm.Cell
+		halts   bool // every target runs on to halt
+	}{{
+		name: "fused run",
+		code: func(target vm.Cell) []vm.Instr {
+			return append(exitTo(target),
 				// A fusable straight-line block the exit can land inside.
 				ins(vm.OpLit, 1), // 3
 				ins(vm.OpLit, 2),
@@ -165,27 +176,135 @@ func TestCompiledCorruptExitEntry(t *testing.T) {
 				ins(vm.OpLit, 3),
 				ins(vm.OpAdd, 0),
 				ins(vm.OpDot, 0), // 8: underflows when entered directly
+				ins(vm.OpHalt, 0))
+		},
+		targets: []vm.Cell{3, 5, 6, 7, 8, 9, 10, 99, -1},
+	}, {
+		name: "branch",
+		code: func(target vm.Cell) []vm.Instr {
+			return append(exitTo(target),
+				ins(vm.OpLit, 1), // 3
+				ins(vm.OpLit, 2), // 4: entry
+				ins(vm.OpBranch, 8),
+				ins(vm.OpLit, 99), // 6
 				ins(vm.OpHalt, 0),
-			},
-		}
-		spec := interp.ExecSpec{MaxSteps: 1000}
-		wantSnap, wantErr := se.runSpec(p, spec)
-		gotSnap, gotErr := ce.runSpec(p, spec)
-		wm := ""
-		if wantErr != nil {
-			wm = wantErr.Error()
-		}
-		gm := ""
-		if gotErr != nil {
-			gm = gotErr.Error()
-		}
-		if wm != gm {
-			t.Errorf("exit to %d: compiled error %q, switch %q", target, gm, wm)
-			continue
-		}
-		if !wantSnap.Equal(gotSnap) {
-			t.Errorf("exit to %d: compiled snapshot diverges from switch\n"+
-				"switch:   %+v\ncompiled: %+v", target, wantSnap, gotSnap)
+				ins(vm.OpDot, 0), // 8
+				ins(vm.OpHalt, 0))
+		},
+		targets: []vm.Cell{4},
+		halts:   true,
+	}, {
+		name: "0branch taken",
+		code: func(target vm.Cell) []vm.Instr {
+			return append(exitTo(target),
+				ins(vm.OpLit, 7), // 3
+				ins(vm.OpLit, 5), // 4: entry
+				ins(vm.OpLit, 0),
+				ins(vm.OpBranchZero, 9),
+				ins(vm.OpLit, 99), // 7
+				ins(vm.OpHalt, 0),
+				ins(vm.OpDot, 0), // 9
+				ins(vm.OpHalt, 0))
+		},
+		targets: []vm.Cell{4},
+		halts:   true,
+	}, {
+		name: "0branch not taken",
+		code: func(target vm.Cell) []vm.Instr {
+			return append(exitTo(target),
+				ins(vm.OpLit, 7), // 3
+				ins(vm.OpLit, 5), // 4: entry
+				ins(vm.OpLit, 1),
+				ins(vm.OpBranchZero, 9),
+				ins(vm.OpDot, 0), // 7
+				ins(vm.OpHalt, 0),
+				ins(vm.OpLit, 99), // 9
+				ins(vm.OpHalt, 0))
+		},
+		targets: []vm.Cell{4},
+		halts:   true,
+	}, {
+		name: "call",
+		code: func(target vm.Cell) []vm.Instr {
+			return append(exitTo(target),
+				ins(vm.OpLit, 1), // 3
+				ins(vm.OpLit, 5), // 4: entry
+				ins(vm.OpCall, 8),
+				ins(vm.OpDot, 0), // 6
+				ins(vm.OpHalt, 0),
+				ins(vm.OpOnePlus, 0), // 8: the callee
+				ins(vm.OpExit, 0))
+		},
+		targets: []vm.Cell{4},
+		halts:   true,
+	}, {
+		// Called first, so the exit at the end of the landing block
+		// has a real return address under the corrupt one.
+		name: "exit",
+		code: func(target vm.Cell) []vm.Instr {
+			return []vm.Instr{
+				ins(vm.OpCall, 4),
+				ins(vm.OpDot, 0), // 1
+				ins(vm.OpHalt, 0),
+				ins(vm.OpHalt, 0),
+				ins(vm.OpLit, target), // 4
+				ins(vm.OpToR, 0),
+				ins(vm.OpExit, 0),
+				ins(vm.OpLit, 1),  // 7
+				ins(vm.OpLit, 41), // 8: entry
+				ins(vm.OpOnePlus, 0),
+				ins(vm.OpExit, 0),
+			}
+		},
+		targets: []vm.Cell{8},
+		halts:   true,
+	}, {
+		// The loop is entered first, so the landing block's loop has
+		// its limit and index on the return stack.
+		name: "loop",
+		code: func(target vm.Cell) []vm.Instr {
+			return []vm.Instr{
+				ins(vm.OpLit, 70),
+				ins(vm.OpLit, 3),
+				ins(vm.OpLit, 0),
+				ins(vm.OpDo, 0),
+				ins(vm.OpLit, target), // 4
+				ins(vm.OpToR, 0),
+				ins(vm.OpExit, 0),
+				ins(vm.OpI, 0),   // 7
+				ins(vm.OpDot, 0), // 8: entry
+				ins(vm.OpLoop, 7),
+				ins(vm.OpHalt, 0),
+			}
+		},
+		targets: []vm.Cell{8},
+		halts:   true,
+	}}
+	for _, c := range cases {
+		for _, target := range c.targets {
+			p := &vm.Program{MemSize: 64, Code: c.code(target)}
+			spec := interp.ExecSpec{MaxSteps: 1000}
+			wantSnap, wantErr := se.runSpec(p, spec)
+			gotSnap, gotErr := ce.runSpec(p, spec)
+			if c.halts && wantErr != nil {
+				t.Fatalf("%s, exit to %d: switch does not halt: %v", c.name, target, wantErr)
+			}
+			wm := ""
+			if wantErr != nil {
+				wm = wantErr.Error()
+			}
+			gm := ""
+			if gotErr != nil {
+				gm = gotErr.Error()
+			}
+			if wm != gm {
+				t.Errorf("%s, exit to %d: compiled error %q, switch %q", c.name, target, gm, wm)
+				continue
+			}
+			if !wantSnap.Equal(gotSnap) || wantSnap.Steps != gotSnap.Steps {
+				t.Errorf("%s, exit to %d: compiled snapshot diverges from switch\n"+
+					"switch:   %+v\ncompiled: %+v", c.name, target, wantSnap, gotSnap)
+			}
 		}
 	}
 }

@@ -96,20 +96,21 @@ type inflightUnit struct {
 }
 
 // Counters is a point-in-time snapshot of the store's tier counters.
+// The service reports it as is, as the "artifact" object of /stats.
 type Counters struct {
-	MemoryHits        int64
-	DiskHits          int64
-	Misses            int64
-	Coalesced         int64
-	CorruptRecomputed int64
-	Persisted         int64
-	PersistErrors     int64
-	Evictions         int64
+	MemoryHits        int64 `json:"memory_hits"`
+	DiskHits          int64 `json:"disk_hits"`
+	Misses            int64 `json:"misses"`
+	Coalesced         int64 `json:"coalesced"`
+	CorruptRecomputed int64 `json:"corrupt_recomputed"`
+	Persisted         int64 `json:"persisted"`
+	PersistErrors     int64 `json:"persist_errors"`
+	Evictions         int64 `json:"evictions"`
 
 	// OptimizeRefused counts builds where the optimizer proposed a
 	// rewrite the translation validator would not certify; the store
 	// served the unoptimized program instead.
-	OptimizeRefused int64
+	OptimizeRefused int64 `json:"optimize_refused"`
 }
 
 // NewStore returns an empty store. When cfg.Dir is set the directory

@@ -11,8 +11,9 @@
 // closure, so the hot path has no opcode switch, no per-instruction pc
 // bookkeeping and no table dispatch. The lowering additionally
 //
-//   - constant-folds lit-fed arithmetic (lit 2; lit 3; + becomes one
-//     push of 5, chains fold transitively),
+//   - constant-folds lit-fed arithmetic with the shared vm.EvalUnary
+//     and vm.EvalBinary (lit 2; lit 3; + becomes one push of 5, chains
+//     fold transitively),
 //   - fuses superinstruction patterns: lit-fed binary ops, compare+
 //     0branch pairs, constant-address memory ops, literal runs,
 //   - hoists the per-instruction step-limit and stack-depth checks into
@@ -27,12 +28,13 @@
 // over-budget ones. Three mechanisms make that cheap to guarantee:
 //
 //   - every pc keeps an individually addressable fully checked
-//     single-step closure, so a dynamic jump into the middle of a fused
-//     block (a corrupt return address popped by OpExit) lands on exact
-//     per-instruction semantics;
+//     single-step closure, which runs interp.RunSwitch itself under a
+//     one-step budget, so a dynamic jump into the middle of a fused
+//     block (a corrupt return address popped by OpExit) lands on the
+//     baseline's own per-instruction semantics;
 //   - a block whose entry precheck fails (not enough step budget or
 //     stack headroom for the whole block) falls back to those same
-//     single-step closures, which reproduce the baseline's error at
+//     single-step closures, which report the baseline's error at
 //     exactly the instruction where it fires;
 //   - fused bodies that can still fail mid-block (division, memory,
 //     output budget) reconstruct the baseline's partial state — stack

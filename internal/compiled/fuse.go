@@ -7,9 +7,10 @@ package compiled
 // directly, so the trampoline in Run only turns over at control
 // transfers. Node bodies carry no stack-depth checks in either variant:
 // the preamble either proved the whole block safe or bailed to the
-// single-step fallback, which is what makes deleting the checks in the
-// elided variant a one-line difference (the preamble's depth test goes
-// away) rather than a second code generator.
+// single-step fallback (one instruction of the switch interpreter, see
+// step), which is what makes deleting the checks in the elided variant
+// a one-line difference (the preamble's depth test goes away) rather
+// than a second code generator.
 
 import (
 	"stackcache/internal/interp"
@@ -76,9 +77,10 @@ func (v *variant) lowerBlock(L, end int, mode buildMode) op {
 		}
 	}
 	// The checked preamble bails to the single-step fallback when it
-	// cannot promise the whole block: if a bailed step errors, that IS
-	// the baseline's error; if not, the trampoline continues and
-	// re-enters a preamble only at the next block boundary. Specialized
+	// cannot promise the whole block. That step is the switch
+	// interpreter's own, so if it errors, that IS the baseline's error;
+	// if not, the trampoline continues at the pc switch stopped at and
+	// re-enters a preamble only at the next block leader. Specialized
 	// shapes skip check groups that are statically vacuous — most
 	// blocks never touch the return stack, and control-only blocks
 	// have no depth profile at all.
@@ -848,12 +850,14 @@ func preMemConst(memOp vm.Opcode, addr vm.Cell) (preOp, vm.Cell, bool) {
 // folds literal-fed arithmetic to a fixpoint: [lit a; unop] and
 // [lit a; lit b; binop] collapse into one literal (chains fold
 // transitively), [lit; drop] and [lit; lit; 2drop] vanish into step-
-// only nops. Folding is observably safe because the block precheck is
-// computed from the ORIGINAL instructions' effects (so the depth
-// profile the baseline would have checked still gates entry), folded
-// ops are exactly the ones that cannot fail mid-block (div/mod fold
-// only for non-zero divisors), and the covered-count bookkeeping keeps
-// step accounting exact.
+// only nops. The values come from vm.EvalUnary and vm.EvalBinary, the
+// arithmetic the dispatch loops run, so a fold cannot drift from them.
+// Folding is observably safe because the block precheck is computed
+// from the ORIGINAL instructions' effects (so the depth profile the
+// baseline would have checked still gates entry), folded ops are
+// exactly the ones that cannot fail mid-block (div/mod fold only for
+// non-zero divisors), and the covered-count bookkeeping keeps step
+// accounting exact.
 func foldBlock(code []vm.Instr, L, end int, stats *Stats) []fInst {
 	fis := make([]fInst, 0, end-L)
 	for pc := L; pc < end; pc++ {
@@ -882,7 +886,7 @@ func foldBlock(code []vm.Instr, L, end int, stats *Stats) []fInst {
 				}
 			}
 			if i+2 < len(fis) && fis[i+1].op == vm.OpLit {
-				if val, ok := fold2(fis[i+2].op, fis[i].arg, fis[i+1].arg); ok {
+				if val, ok := vm.EvalBinary(fis[i+2].op, fis[i].arg, fis[i+1].arg); ok {
 					fis[i] = fInst{op: vm.OpLit, arg: val, pc: fis[i].pc, n: fis[i].n + fis[i+1].n + fis[i+2].n}
 					fis = append(fis[:i+1], fis[i+3:]...)
 					stats.Folded += 2
@@ -904,100 +908,14 @@ func foldBlock(code []vm.Instr, L, end int, stats *Stats) []fInst {
 	}
 }
 
-// fold1 evaluates unary op(a) at compile time. Returns ok=false for
-// anything that is not a pure, error-free unary data op.
+// fold1 evaluates unary op(a) at compile time with the shared
+// arithmetic of vm.EvalUnary, plus the one immediate-carrying unary op,
+// lit-add. ok=false means op is not a pure, error-free unary data op.
 func fold1(o vm.Opcode, arg, a vm.Cell) (vm.Cell, bool) {
-	switch o {
-	case vm.OpNegate:
-		return -a, true
-	case vm.OpAbs:
-		if a < 0 {
-			return -a, true
-		}
-		return a, true
-	case vm.OpInvert:
-		return ^a, true
-	case vm.OpOnePlus:
-		return a + 1, true
-	case vm.OpOneMinus:
-		return a - 1, true
-	case vm.OpTwoStar:
-		return a << 1, true
-	case vm.OpTwoSlash:
-		return a >> 1, true
-	case vm.OpCells:
-		return a * vm.CellSize, true
-	case vm.OpLitAdd:
+	if o == vm.OpLitAdd {
 		return a + arg, true
-	case vm.OpZeroEq:
-		return interp.Flag(a == 0), true
-	case vm.OpZeroNe:
-		return interp.Flag(a != 0), true
-	case vm.OpZeroLt:
-		return interp.Flag(a < 0), true
-	case vm.OpZeroGt:
-		return interp.Flag(a > 0), true
 	}
-	return 0, false
-}
-
-// fold2 evaluates binary a op b at compile time. Division and modulo
-// fold only for a non-zero divisor — a constant zero divisor must reach
-// run time to report the baseline's error with the baseline's stack.
-func fold2(o vm.Opcode, a, b vm.Cell) (vm.Cell, bool) {
-	switch o {
-	case vm.OpAdd:
-		return a + b, true
-	case vm.OpSub:
-		return a - b, true
-	case vm.OpMul:
-		return a * b, true
-	case vm.OpDiv:
-		if b == 0 {
-			return 0, false
-		}
-		return interp.FloorDiv(a, b), true
-	case vm.OpMod:
-		if b == 0 {
-			return 0, false
-		}
-		return interp.FloorMod(a, b), true
-	case vm.OpAnd:
-		return a & b, true
-	case vm.OpOr:
-		return a | b, true
-	case vm.OpXor:
-		return a ^ b, true
-	case vm.OpMin:
-		if b < a {
-			return b, true
-		}
-		return a, true
-	case vm.OpMax:
-		if b > a {
-			return b, true
-		}
-		return a, true
-	case vm.OpLshift:
-		return interp.ShiftLeft(a, b), true
-	case vm.OpRshift:
-		return interp.ShiftRight(a, b), true
-	case vm.OpEq:
-		return interp.Flag(a == b), true
-	case vm.OpNe:
-		return interp.Flag(a != b), true
-	case vm.OpLt:
-		return interp.Flag(a < b), true
-	case vm.OpGt:
-		return interp.Flag(a > b), true
-	case vm.OpLe:
-		return interp.Flag(a <= b), true
-	case vm.OpGe:
-		return interp.Flag(a >= b), true
-	case vm.OpULt:
-		return interp.Flag(uint64(a) < uint64(b)), true
-	}
-	return 0, false
+	return vm.EvalUnary(o, a)
 }
 
 // fuseNodes builds the block's closure chain, right to left so every

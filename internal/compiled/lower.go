@@ -7,9 +7,9 @@ package compiled
 // block's entry precheck cannot promise the whole block will execute
 // without a stack or step-budget error, and dynamic jumps into the
 // middle of a block (a corrupt return address popped by OpExit) land on
-// them directly. The single-step semantics are an exact port of the
-// switch interpreter — the baseline every engine is differenced
-// against — one instruction per closure call.
+// them directly. A single step runs the switch interpreter itself — the
+// baseline every engine is differenced against — under a one-step
+// budget.
 
 import (
 	"strconv"
@@ -425,605 +425,30 @@ func (v *variant) stepAt(pc int) op {
 	}
 }
 
-// step executes exactly one instruction with full checks — a
-// one-iteration port of the switch interpreter's loop body. It is the
-// fallback the fused paths bail to, so its semantics (check order,
-// partial state on error, step accounting) must match the baseline
-// bit for bit.
+// step executes exactly one instruction with full checks by running
+// the switch interpreter itself under a one-step budget. It is the
+// fallback the fused paths bail to and the entry for pcs inside a
+// block, so it must match the baseline bit for bit, and it does so by
+// being the baseline. Switch checks the pc range before the step
+// budget (DESIGN §3a), so after one instruction RunSwitch either
+// reports that instruction's own outcome or stops on the budget at the
+// next in-range pc; only that stop, short of the run's real budget,
+// continues the trampoline. A quickened m.Prog needs no special case:
+// with no budget left after its first constituent, a superinstruction
+// de-fuses to that constituent (vm/super.go).
 func (v *variant) step(s *state, pc, sp, rp int) (op, int, int) {
-	ins := v.code[pc]
-	if s.steps >= s.limit {
-		return s.failAt(pc, vm.CanonicalInstr(ins).Op, interp.MsgStepLimit, sp, rp)
-	}
-	s.steps++
-	st, rs := s.st, s.rs
 	m := s.m
-	switch ins.Op {
-	case vm.OpNop:
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpLit:
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = ins.Arg
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpAdd:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] += st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpSub:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] -= st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpMul:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] *= st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpDiv:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if st[sp-1] == 0 {
-			return s.failAt(pc, ins.Op, "division by zero", sp, rp)
-		}
-		st[sp-2] = interp.FloorDiv(st[sp-2], st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpMod:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if st[sp-1] == 0 {
-			return s.failAt(pc, ins.Op, "division by zero", sp, rp)
-		}
-		st[sp-2] = interp.FloorMod(st[sp-2], st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpNegate:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = -st[sp-1]
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpAbs:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if st[sp-1] < 0 {
-			st[sp-1] = -st[sp-1]
-		}
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpMin:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if st[sp-1] < st[sp-2] {
-			st[sp-2] = st[sp-1]
-		}
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpMax:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if st[sp-1] > st[sp-2] {
-			st[sp-2] = st[sp-1]
-		}
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpAnd:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] &= st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpOr:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] |= st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpXor:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] ^= st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpInvert:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = ^st[sp-1]
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpLshift:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.ShiftLeft(st[sp-2], st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpRshift:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.ShiftRight(st[sp-2], st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpOnePlus:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1]++
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpOneMinus:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1]--
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpTwoStar:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] <<= 1
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpTwoSlash:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] >>= 1
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpCells:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] *= vm.CellSize
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpLitAdd:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] += ins.Arg
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpEq:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] == st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpNe:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] != st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpLt:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] < st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpGt:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] > st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpLe:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] <= st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpGe:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(st[sp-2] >= st[sp-1])
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpULt:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = interp.Flag(uint64(st[sp-2]) < uint64(st[sp-1]))
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpZeroEq:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = interp.Flag(st[sp-1] == 0)
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpZeroNe:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = interp.Flag(st[sp-1] != 0)
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpZeroLt:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = interp.Flag(st[sp-1] < 0)
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpZeroGt:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1] = interp.Flag(st[sp-1] > 0)
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpDup:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = st[sp-1]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpDrop:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpSwap:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-1], st[sp-2] = st[sp-2], st[sp-1]
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpOver:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = st[sp-2]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpRot:
-		if sp < 3 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-3], st[sp-2], st[sp-1] = st[sp-2], st[sp-1], st[sp-3]
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpMinusRot:
-		if sp < 3 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-3], st[sp-2], st[sp-1] = st[sp-1], st[sp-3], st[sp-2]
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpNip:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		st[sp-2] = st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpTuck:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = st[sp-1]
-		st[sp-1] = st[sp-2]
-		st[sp-2] = st[sp]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpTwoDup:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if sp+2 > len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = st[sp-2]
-		st[sp+1] = st[sp-1]
-		return v.cont[pc+1], sp + 2, rp
-
-	case vm.OpTwoDrop:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		return v.cont[pc+1], sp - 2, rp
-
-	case vm.OpToR:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if rp == len(rs) {
-			return s.failAt(pc, ins.Op, "return stack overflow", sp, rp)
-		}
-		rs[rp] = st[sp-1]
-		return v.cont[pc+1], sp - 1, rp + 1
-
-	case vm.OpRFrom:
-		if rp < 1 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = rs[rp-1]
-		return v.cont[pc+1], sp + 1, rp - 1
-
-	case vm.OpRFetch:
-		if rp < 1 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = rs[rp-1]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpFetch:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		x, ok := m.CellAt(st[sp-1])
-		if !ok {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		st[sp-1] = x
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpStore:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if !m.SetCellAt(st[sp-1], st[sp-2]) {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		return v.cont[pc+1], sp - 2, rp
-
-	case vm.OpCFetch:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		c, ok := m.ByteAt(st[sp-1])
-		if !ok {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		st[sp-1] = vm.Cell(c)
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpCStore:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if !m.SetByteAt(st[sp-1], st[sp-2]) {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		return v.cont[pc+1], sp - 2, rp
-
-	case vm.OpPlusStore:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		addr := st[sp-1]
-		x, ok := m.CellAt(addr)
-		if !ok || !m.SetCellAt(addr, x+st[sp-2]) {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		return v.cont[pc+1], sp - 2, rp
-
-	case vm.OpBranch:
-		return v.goTo(s, int(ins.Arg), sp, rp)
-
-	case vm.OpBranchZero:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		sp--
-		if st[sp] == 0 {
-			return v.goTo(s, int(ins.Arg), sp, rp)
-		}
-		return v.cont[pc+1], sp, rp
-
-	case vm.OpCall:
-		if rp == len(rs) {
-			return s.failAt(pc, ins.Op, "return stack overflow", sp, rp)
-		}
-		rs[rp] = vm.Cell(pc + 1)
-		return v.goTo(s, int(ins.Arg), sp, rp+1)
-
-	case vm.OpExit:
-		if rp < 1 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		rp--
-		return v.goTo(s, int(rs[rp]), sp, rp)
-
-	case vm.OpHalt:
-		s.pc = pc
-		return nil, sp, rp
-
-	case vm.OpDo:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if rp+2 > len(rs) {
-			return s.failAt(pc, ins.Op, "return stack overflow", sp, rp)
-		}
-		rs[rp] = st[sp-2]   // limit
-		rs[rp+1] = st[sp-1] // index
-		return v.cont[pc+1], sp - 2, rp + 2
-
-	case vm.OpLoop:
-		if rp < 2 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		rs[rp-1]++
-		if rs[rp-1] == rs[rp-2] {
-			return v.cont[pc+1], sp, rp - 2
-		}
-		return v.goTo(s, int(ins.Arg), sp, rp)
-
-	case vm.OpPlusLoop:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		if rp < 2 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		n := st[sp-1]
-		sp--
-		old := rs[rp-1] - rs[rp-2]
-		rs[rp-1] += n
-		now := rs[rp-1] - rs[rp-2]
-		if (old < 0) != (now < 0) {
-			return v.cont[pc+1], sp, rp - 2
-		}
-		return v.goTo(s, int(ins.Arg), sp, rp)
-
-	case vm.OpI:
-		if rp < 1 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = rs[rp-1]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpJ:
-		if rp < 3 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = rs[rp-3]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpUnloop:
-		if rp < 2 {
-			return s.failAt(pc, ins.Op, "return stack underflow", sp, rp)
-		}
-		return v.cont[pc+1], sp, rp - 2
-
-	case vm.OpEmit:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		m.Out.WriteByte(byte(st[sp-1]))
-		if m.MaxOut > 0 && m.Out.Len() > m.MaxOut {
-			return s.failAt(pc, ins.Op, interp.MsgOutputLimit, sp, rp)
-		}
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpDot:
-		if sp < 1 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		writeDot(m, st[sp-1])
-		if m.MaxOut > 0 && m.Out.Len() > m.MaxOut {
-			return s.failAt(pc, ins.Op, interp.MsgOutputLimit, sp, rp)
-		}
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpType:
-		if sp < 2 {
-			return s.failAt(pc, ins.Op, "stack underflow", sp, rp)
-		}
-		addr, n := st[sp-2], st[sp-1]
-		if !m.RangeOK(addr, n) {
-			return s.failAt(pc, ins.Op, "memory access out of range", sp, rp)
-		}
-		m.Out.Write(m.Mem[addr : addr+n])
-		if m.MaxOut > 0 && m.Out.Len() > m.MaxOut {
-			return s.failAt(pc, ins.Op, interp.MsgOutputLimit, sp, rp)
-		}
-		return v.cont[pc+1], sp - 2, rp
-
-	case vm.OpDepth:
-		if sp == len(st) {
-			return s.failAt(pc, ins.Op, "stack overflow", sp, rp)
-		}
-		st[sp] = vm.Cell(sp)
-		return v.cont[pc+1], sp + 1, rp
-
-	// Unreachable: Compile unquickens, so v.code holds no
-	// superinstructions. The arms keep this switch total and de-fuse to
-	// the first constituent (which also names the reported error op).
-	case vm.OpQLitFetch, vm.OpQLitFetchAdd, vm.OpQLitLitFetchAdd,
-		vm.OpQLitFetchAddCFetch, vm.OpQLitFetchLitGe, vm.OpQLitPlusStore,
-		vm.OpQLitLitPlusStore, vm.OpQLitEq, vm.OpQLitLshiftOverLit:
-		if sp == len(st) {
-			return s.failAt(pc, vm.OpLit, "stack overflow", sp, rp)
-		}
-		st[sp] = ins.Arg
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpQAddCFetch:
-		if sp < 2 {
-			return s.failAt(pc, vm.OpAdd, "stack underflow", sp, rp)
-		}
-		st[sp-2] += st[sp-1]
-		return v.cont[pc+1], sp - 1, rp
-
-	case vm.OpQDupLitEq:
-		if sp < 1 {
-			return s.failAt(pc, vm.OpDup, "stack underflow", sp, rp)
-		}
-		if sp == len(st) {
-			return s.failAt(pc, vm.OpDup, "stack overflow", sp, rp)
-		}
-		st[sp] = st[sp-1]
-		return v.cont[pc+1], sp + 1, rp
-
-	case vm.OpQSwapLitRshiftSwap:
-		if sp < 2 {
-			return s.failAt(pc, vm.OpSwap, "stack underflow", sp, rp)
-		}
-		st[sp-1], st[sp-2] = st[sp-2], st[sp-1]
-		return v.cont[pc+1], sp, rp
-
-	default:
-		return s.failAt(pc, ins.Op, "invalid opcode", sp, rp)
+	maxSteps := m.MaxSteps
+	m.PC, m.SP, m.RP, m.Steps = pc, sp, rp, s.steps
+	m.MaxSteps = min(s.steps+1, s.limit)
+	err := interp.RunSwitch(m)
+	m.MaxSteps = maxSteps
+	s.steps = m.Steps
+	if re, ok := err.(*interp.RuntimeError); ok && re.Msg == interp.MsgStepLimit && m.Steps < s.limit {
+		return v.cont[m.PC], m.SP, m.RP
 	}
+	s.pc, s.err = m.PC, err
+	return nil, m.SP, m.RP
 }
 
 // writeDot prints n in Forth's ". " format, byte-identical to the

@@ -280,7 +280,7 @@ type Snapshot struct {
 	// build / disk / built from source), corrupt disk entries
 	// recomputed, units persisted, and LRU evictions. Disk counters
 	// stay 0 without Config.CacheDir.
-	Artifact ArtifactSnapshot `json:"artifact"`
+	Artifact artifact.Counters `json:"artifact"`
 
 	// Errors counts finished requests by class wire name, including
 	// "ok".
@@ -291,38 +291,6 @@ type Snapshot struct {
 
 	// LatencyBucketBounds labels the latency histogram entries.
 	LatencyBucketBounds [NumLatencyBuckets]string `json:"latency_bucket_bounds"`
-}
-
-// ArtifactSnapshot is the exported view of the artifact store's tier
-// counters (artifact.Store.Counters).
-type ArtifactSnapshot struct {
-	MemoryHits        int64 `json:"memory_hits"`
-	DiskHits          int64 `json:"disk_hits"`
-	Misses            int64 `json:"misses"`
-	Coalesced         int64 `json:"coalesced"`
-	CorruptRecomputed int64 `json:"corrupt_recomputed"`
-	Persisted         int64 `json:"persisted"`
-	PersistErrors     int64 `json:"persist_errors"`
-	Evictions         int64 `json:"evictions"`
-
-	// OptimizeRefused counts builds whose proposed optimizer rewrite
-	// the translation validator would not certify; the unoptimized
-	// program was served instead.
-	OptimizeRefused int64 `json:"optimize_refused"`
-}
-
-func artifactSnapshot(c artifact.Counters) ArtifactSnapshot {
-	return ArtifactSnapshot{
-		MemoryHits:        c.MemoryHits,
-		DiskHits:          c.DiskHits,
-		Misses:            c.Misses,
-		Coalesced:         c.Coalesced,
-		CorruptRecomputed: c.CorruptRecomputed,
-		Persisted:         c.Persisted,
-		PersistErrors:     c.PersistErrors,
-		Evictions:         c.Evictions,
-		OptimizeRefused:   c.OptimizeRefused,
-	}
 }
 
 // HitRate returns the cache hit fraction over all lookups, 0 when no

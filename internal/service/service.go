@@ -435,7 +435,7 @@ func (s *Service) Stats() Snapshot {
 	snap.CacheEvictions = c.Evictions
 	snap.CacheSize = s.store.Len()
 	snap.CompiledPrograms, snap.CompiledProved = compiled.Counters()
-	snap.Artifact = artifactSnapshot(c)
+	snap.Artifact = c
 	return snap
 }
 

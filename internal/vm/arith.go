@@ -3,10 +3,10 @@ package vm
 // Canonical cell arithmetic. These definitions are the single source
 // of truth for the value semantics of the arithmetic and comparison
 // opcodes: the baseline interpreters (internal/interp) delegate here,
-// and both the bytecode optimizer (optimize.go) and the translation
-// validator (checktrans.go) evaluate constants with exactly these
-// functions, so a fold can never drift from what the dispatch loops
-// compute at run time.
+// and the bytecode optimizer (optimize.go), the translation validator
+// (checktrans.go) and the compiled engine's block folder evaluate
+// constants with exactly these functions, so a fold can never drift
+// from what the dispatch loops compute at run time.
 
 // FloorDiv is Forth's floored division; the quotient rounds toward
 // negative infinity. The divisor must be nonzero.

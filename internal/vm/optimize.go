@@ -465,10 +465,19 @@ func optimizeOnce(src *Program) (*roundResult, bool) {
 		return nil, false
 	}
 
+	// A word keeps its name only while its entry still runs; the body
+	// of a word inlined at every call site is dead, and forwarding its
+	// name to the next survivor would label unrelated code. Verify does
+	// not check the word table, so a name past the code labels nothing.
 	words2 := make(map[string]int, len(src.Words))
 	for name, wpc := range src.Words {
-		if npc := nextKept(map1[wpc]); npc >= 0 {
-			words2[name] = npc
+		if wpc < 0 || wpc >= n {
+			continue
+		}
+		if p1 := map1[wpc]; p1 < n1 && reach[p1] {
+			if npc := nextKept(p1); npc >= 0 {
+				words2[name] = npc
+			}
 		}
 	}
 

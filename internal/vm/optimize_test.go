@@ -305,7 +305,8 @@ func TestOptimizeIsTotalOnGarbage(t *testing.T) {
 		nil2prog(),
 		{},
 		{Code: []Instr{{Op: Opcode(200)}}},
-		{Code: []Instr{{Op: OpAdd}, {Op: OpHalt}}}, // underflows; unprovable
+		{Code: []Instr{{Op: OpAdd}, {Op: OpHalt}}},                    // underflows; unprovable
+		{Code: []Instr{{Op: OpHalt}}, Words: map[string]int{"w": 99}}, // name past the code
 	}
 	for i, p := range progs {
 		r := Optimize(p)

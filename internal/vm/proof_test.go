@@ -189,6 +189,39 @@ func TestCheckTranslationFollowsFoldedCallees(t *testing.T) {
 	}
 }
 
+// TestOptimizeNamesOnlyLiveWords checks the rewrite's word table: a
+// word whose entry no longer runs, because every call to it was
+// inlined, loses its name instead of lending it to the next surviving
+// code. So no two names share a pc, and the reproducers' rewrites,
+// which inline every word, carry no names at all.
+func TestOptimizeNamesOnlyLiveWords(t *testing.T) {
+	type input struct{ name, src string }
+	var inputs []input
+	for i, src := range foldedCalleeSources {
+		inputs = append(inputs, input{fmt.Sprintf("foldedCalleeSources[%d]", i), src})
+	}
+	for _, w := range workloads.Suite() {
+		inputs = append(inputs, input{w.Name, w.Source})
+	}
+	for i, in := range inputs {
+		p, err := forth.Compile(in.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := vm.Optimize(p).Prog.Words
+		if i < len(foldedCalleeSources) && len(words) != 0 {
+			t.Errorf("%s: rewrite names %v, want no names", in.name, words)
+		}
+		byPC := make(map[int]string, len(words))
+		for name, pc := range words {
+			if other, ok := byPC[pc]; ok {
+				t.Errorf("%s: %q and %q both name pc %d", in.name, other, name, pc)
+			}
+			byPC[pc] = name
+		}
+	}
+}
+
 // callChain returns ": w0 ;", then k words that each call the previous
 // one 15 times, then a main that calls the last: every word is
 // straight-line, and inlining main in full takes 15^k calls.

@@ -12,8 +12,8 @@
 //	POST /run      {"source": ": main + . ;", "inputs": [{"args": [1, 2]}, {"args": [40, 2]}]}   # batch
 //	POST /compile  {"source": ": main 1 2 + . ;"}   # warm the program cache
 //	GET  /engines  # registered engines with their contract traits
-//	GET  /stats    # metrics registry snapshot (JSON)
-//	GET  /metrics  # the same registry in Prometheus text format
+//	GET  /stats    # metrics snapshot (JSON)
+//	GET  /metrics  # the same snapshot in Prometheus text format
 //	GET  /healthz  # liveness
 //
 // The engine set is whatever the engine registry holds (-h lists it;

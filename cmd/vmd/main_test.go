@@ -1,9 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -60,32 +62,86 @@ func TestRunWireBytes(t *testing.T) {
 	}
 }
 
-// TestStatsArtifactKeys pins the keys of /stats' "artifact" object and
-// their order: the object is artifact.Counters encoded as is, so a
-// renamed or reordered counter field shows here rather than in clients.
-func TestStatsArtifactKeys(t *testing.T) {
+// TestStatsMetricsGolden pins the bytes of /stats and /metrics after a
+// fixed script against testdata/stats.golden and metrics.golden. The
+// script covers singletons on three engines, a cache hit, a quickened
+// program, a batch with one failing input, a limit error, a compile
+// error, an unknown engine and a /compile hit, so a counter that moves,
+// drops out or is counted twice shows here. Only what depends on
+// timing or on the rest of the process is masked: latency bucket
+// counts (their +Inf totals stay) and the compiled engine's
+// process-wide counters.
+func TestStatsMetricsGolden(t *testing.T) {
 	svc, err := service.New(service.Config{Workers: 1, Quicken: true, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	s := &server{svc: svc}
-	run := httptest.NewRecorder()
-	s.handleRun(run, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(`{"source": ": main 1 2 + . ;"}`)))
-	if run.Code != http.StatusOK {
-		t.Fatalf("POST /run: %d %s", run.Code, run.Body)
+	script := []struct {
+		path, body string
+		status     int
+	}{
+		{"/run", `{"source": ": main 1 2 + . ;"}`, http.StatusOK},
+		{"/run", `{"source": ": main 1 2 + . ;", "engine": "static"}`, http.StatusOK},
+		{"/run", `{"source": ": main + . ;", "engine": "compiled", "args": [30, 12]}`, http.StatusOK},
+		{"/run", `{"source": "variable x : main x @ x @ + . ;", "engine": "switch"}`, http.StatusOK},
+		{"/run", `{"source": ": main / . ;", "engine": "static", "inputs": [{"args": [6, 2]}, {"args": [1, 0]}]}`, http.StatusOK},
+		{"/run", `{"source": ": main 0 begin 1 + dup 0 < until drop ;", "max_steps": 1000}`, http.StatusUnprocessableEntity},
+		{"/run", `{"source": ": main nosuchword ;"}`, http.StatusBadRequest},
+		{"/run", `{"source": ": main 1 ;", "engine": "nosuchengine"}`, http.StatusBadRequest},
+		{"/compile", `{"source": ": main + . ;"}`, http.StatusOK},
 	}
-	rec := httptest.NewRecorder()
-	s.handleStats(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var stats struct {
-		Artifact json.RawMessage `json:"artifact"`
+	for _, step := range script {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, step.path, strings.NewReader(step.body))
+		if step.path == "/compile" {
+			s.handleCompile(rec, req)
+		} else {
+			s.handleRun(rec, req)
+		}
+		if rec.Code != step.status {
+			t.Fatalf("POST %s %s: %d %s, want %d", step.path, step.body, rec.Code, rec.Body, step.status)
+		}
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatalf("GET /stats: %v", err)
+
+	stats := httptest.NewRecorder()
+	s.handleStats(stats, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	metrics := httptest.NewRecorder()
+	s.handleMetrics(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, c := range []struct {
+		name string
+		got  string
+		mask []*regexp.Regexp
+	}{
+		{"stats.golden", stats.Body.String(), []*regexp.Regexp{
+			regexp.MustCompile(`"latency_buckets":\[[0-9,]*\]`),
+			regexp.MustCompile(`"compiled_(programs|proved)":[0-9]+`),
+		}},
+		{"metrics.golden", metrics.Body.String(), []*regexp.Regexp{
+			regexp.MustCompile(`(?m)^vmd_exec_latency_seconds_bucket\{engine="[a-z0-9]+",le="[0-9.e+-]+"\} [0-9]+$`),
+			regexp.MustCompile(`(?m)^vmd_compiled_(programs|proved)_total [0-9]+$`),
+		}},
+	} {
+		got := c.got
+		for _, re := range c.mask {
+			got = re.ReplaceAllStringFunc(got, maskDigits)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", c.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s differs from testdata/%s:\ngot\n%s\nwant\n%s", c.name, c.name, got, want)
+		}
 	}
-	want := `{"memory_hits":0,"disk_hits":0,"misses":1,"coalesced":0,"corrupt_recomputed":0,` +
-		`"persisted":0,"persist_errors":0,"evictions":0,"optimize_refused":0}`
-	if got := string(stats.Artifact); got != want {
-		t.Errorf("GET /stats artifact:\ngot  %s\nwant %s", got, want)
-	}
+}
+
+var digits = regexp.MustCompile(`[0-9]+`)
+
+// maskDigits replaces each run of digits in a matched sample's value,
+// everything after its last ':', '[' or ' ', with "_".
+func maskDigits(m string) string {
+	i := strings.LastIndexAny(m, ":[ ") + 1
+	return m[:i] + digits.ReplaceAllString(m[i:], "_")
 }

@@ -1,6 +1,6 @@
 // Server walkthrough: embed the internal/service execution layer — the
 // compile-once/execute-many front end over every engine — drive it
-// with concurrent mixed-engine traffic, and read the metrics registry.
+// with concurrent mixed-engine traffic, and read the metrics snapshot.
 // The same service is exposed over HTTP by cmd/vmd; README.md next to
 // this file shows the curl equivalent of each step.
 package main
@@ -85,7 +85,7 @@ func main() {
 	})
 	fmt.Printf("\nhostile program: classified as %q (%v)\n", service.Classify(err), err)
 
-	// 5. The metrics registry has seen everything: requests, cache
+	// 5. The metrics have seen everything: requests, cache
 	// hits/misses, per-engine steps, errors by class.
 	snap := svc.Stats()
 	fmt.Printf("\nrequests=%d completed=%d cache hit rate=%.2f\n",

@@ -12,6 +12,7 @@ package stackcache
 // starting depths, not just from empty.
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -86,6 +87,21 @@ func decodeFuzzProgram(data []byte) *vm.Program {
 		code[i] = vm.Instr{Op: op, Arg: arg}
 	}
 	return &vm.Program{Code: code, Entry: 0, MemSize: 128}
+}
+
+// validated reports whether the translation validator accepts opt as
+// a rewrite of p. A refusal wrapping vm.ErrValidatorBudget is the
+// validator's documented answer when its bounded work runs out (the
+// rewrite is refused, never accepted, and the source program served)
+// and reports false; any other refusal fails the test.
+func validated(t *testing.T, p, opt *vm.Program) bool {
+	t.Helper()
+	err := vm.CheckTranslation(p, opt)
+	if err != nil && !errors.Is(err, vm.ErrValidatorBudget) {
+		t.Fatalf("optimizer emitted a rewrite its validator refuses: %v\noriginal:\n%s\noptimized:\n%s",
+			err, vm.Disassemble(p), vm.Disassemble(opt))
+	}
+	return err == nil
 }
 
 func FuzzEngines(f *testing.F) {
@@ -244,7 +260,9 @@ func FuzzEngines(f *testing.F) {
 		// decoded program, the rewrite must first survive its own
 		// translation validator (a Changed result the validator refuses
 		// is an optimizer bug — the artifact pipeline would fall back,
-		// but the fuzzer treats it as a failure), and every engine's run
+		// but the fuzzer treats it as a failure — unless the refusal is
+		// the validator's bounded work running out, ErrValidatorBudget,
+		// which it documents as refuse-never-accept), and every engine's run
 		// of the OPTIMIZED program must reproduce the baseline's run of
 		// the original on the same fuzzed initial stack: snapshot on
 		// success, error class on failure, never more steps.
@@ -254,11 +272,7 @@ func FuzzEngines(f *testing.F) {
 		// so the differential only applies to budget-free baselines —
 		// exactly the service's budget-sweep contract.
 		if verified && baseMsg != "step limit exceeded" {
-			if r := vm.Optimize(p); r.Changed {
-				if err := vm.CheckTranslation(p, r.Prog); err != nil {
-					t.Fatalf("optimizer emitted a rewrite its validator refuses: %v\noriginal:\n%s\noptimized:\n%s",
-						err, vm.Disassemble(p), vm.Disassemble(r.Prog))
-				}
+			if r := vm.Optimize(p); r.Changed && validated(t, p, r.Prog) {
 				for _, e := range allEngines {
 					snap, err := e.runSpec(r.Prog, spec)
 					if e.needsVerify {

@@ -1,6 +1,8 @@
 package artifact
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"stackcache/internal/forth"
@@ -65,6 +67,36 @@ func TestStoreOptimizeRefusalServesUnoptimized(t *testing.T) {
 	}
 	if u.Prog.Code[0].Arg == 999 {
 		t.Fatal("unit serves the miscompiled program")
+	}
+	if c := s.Counters(); c.OptimizeRefused != 1 {
+		t.Errorf("OptimizeRefused = %d, want 1", c.OptimizeRefused)
+	}
+}
+
+// TestStoreOptimizeBudgetRefusalServesUnoptimized runs the real
+// optimizer on a call tree it inlines away in full, whose single
+// episode is longer than the translation validator's work budget. The
+// validator refuses the rewrite with vm.ErrValidatorBudget, and the
+// store serves the program unoptimized and counts the refusal.
+func TestStoreOptimizeBudgetRefusalServesUnoptimized(t *testing.T) {
+	src := ": w0 ; : w1" + strings.Repeat(" w0", 10) + " ; : w2" + strings.Repeat(" w1", 12) + " ; : w3 w1" +
+		strings.Repeat(" w2", 14) + " ; : w4 w3 ; : w5 w4 ; : w6 w5 ; : w7 w6 ; : w8 w7 w7 ; : main w8 ;"
+	p, err := forth.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := vm.Optimize(p)
+	if !r.Changed {
+		t.Fatal("call tree was not rewritten")
+	}
+	if err := vm.CheckTranslation(p, r.Prog); !errors.Is(err, vm.ErrValidatorBudget) {
+		t.Fatalf("CheckTranslation: %v, want a refusal wrapping vm.ErrValidatorBudget", err)
+	}
+	s := NewStore(Config{Optimize: true})
+	u, _ := mustGet(t, s, "k-tree", produceSrc(t, src))
+	if u.Optimized || len(u.Prog.Code) != len(p.Code) {
+		t.Errorf("unit optimized %v with %d instructions, want the %d-instruction source program",
+			u.Optimized, len(u.Prog.Code), len(p.Code))
 	}
 	if c := s.Counters(); c.OptimizeRefused != 1 {
 		t.Errorf("OptimizeRefused = %d, want 1", c.OptimizeRefused)

@@ -64,6 +64,11 @@ func FuzzCompileEnginesAgree(f *testing.F) {
 		chain += fmt.Sprintf(": w%d%s ;\n", i, strings.Repeat(fmt.Sprintf(" w%d", i-1), 15))
 	}
 	f.Add(chain + ": main 1 2 + . w8 ;\n")
+	// Folded call trees whose single episode walks every call: the
+	// first validates, the second exhausts the validator's budget.
+	f.Add(": w5 ; : w6 w5 w5 w5 ; : w7" + strings.Repeat(" w6", 5) + " ; : w8" + strings.Repeat(" w7", 14) + " ; : main w8 ;")
+	f.Add(": w0 ; : w1" + strings.Repeat(" w0", 10) + " ; : w2" + strings.Repeat(" w1", 12) + " ; : w3 w1" +
+		strings.Repeat(" w2", 14) + " ; : w4 w3 ; : w5 w4 ; : w6 w5 ; : w7 w6 ; : w8 w7 w7 ; : main w8 ;")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Compile(src)
 		if err != nil {
@@ -95,10 +100,12 @@ func FuzzCompileEnginesAgree(f *testing.F) {
 		}
 
 		// Optimizer differential, as in FuzzEngines: a rewrite must
-		// pass its translation validator, and switch must run it to
-		// the source's snapshot or error class in no more steps. A
-		// source run the step budget cut short is left out, since the
-		// rewrite may finish inside the budget.
+		// pass its translation validator or be refused for its budget
+		// (the validator refuses, never accepts, what it cannot check in
+		// bounded work; the source program is served), and switch must
+		// run an accepted one to the source's snapshot or error class in
+		// no more steps. A source run the step budget cut short is left
+		// out, since the rewrite may finish inside the budget.
 		var re *interp.RuntimeError
 		if errors.As(refErr, &re) && re.Msg == interp.MsgStepLimit {
 			return
@@ -107,7 +114,9 @@ func FuzzCompileEnginesAgree(f *testing.F) {
 		if !r.Changed {
 			return
 		}
-		if err := vm.CheckTranslation(p, r.Prog); err != nil {
+		if err := vm.CheckTranslation(p, r.Prog); errors.Is(err, vm.ErrValidatorBudget) {
+			return
+		} else if err != nil {
 			t.Fatalf("optimizer emitted a rewrite its validator refuses: %v\noriginal:\n%s\noptimized:\n%s",
 				err, vm.Disassemble(p), vm.Disassemble(r.Prog))
 		}

@@ -176,8 +176,8 @@ func TestRealFusionTableMismatchFails(t *testing.T) {
 
 // TestPassLabelTableIncomplete seeds the optimizer-pass metric rule's
 // violation: a [NumOptPasses]string label table missing a pass must be
-// flagged, exactly what guards the service's vmd_optimized_ops_total
-// label set.
+// flagged, exactly what guards vm's pass names and with them the
+// service's vmd_optimized_ops_total label set.
 func TestPassLabelTableIncomplete(t *testing.T) {
 	fset := token.NewFileSet()
 	dirs := parseSrc(t, fset, "toy", "enum.go", `package toy
@@ -203,7 +203,8 @@ var labels = [NumOptPasses]string{
 }
 
 // TestDeletedPassLabelFails is the real-tree half: deleting one pass
-// label from the service's optPassLabels mirror turns the build red,
+// label from vm's optPassNames, the table vm.OptPass.String and so the
+// service's vmd_optimized_ops_total labels read, turns the build red,
 // so a new optimizer pass cannot ship without a metric label.
 func TestDeletedPassLabelFails(t *testing.T) {
 	fset := token.NewFileSet()
@@ -214,7 +215,7 @@ func TestDeletedPassLabelFails(t *testing.T) {
 
 	removed := 0
 	for dir, files := range dirs {
-		if !strings.HasSuffix(strings.ReplaceAll(dir, "\\", "/"), "internal/service") {
+		if !strings.HasSuffix(strings.ReplaceAll(dir, "\\", "/"), "internal/vm") {
 			continue
 		}
 		for _, f := range files {
@@ -226,7 +227,7 @@ func TestDeletedPassLabelFails(t *testing.T) {
 				var kept []ast.Expr
 				for _, el := range cl.Elts {
 					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if sel, ok := kv.Key.(*ast.SelectorExpr); ok && sel.Sel.Name == "PassPeephole" {
+						if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "PassPeephole" {
 							removed++
 							continue
 						}
@@ -239,7 +240,7 @@ func TestDeletedPassLabelFails(t *testing.T) {
 		}
 	}
 	if removed == 0 {
-		t.Fatal("found no PassPeephole keyed entry to delete in internal/service")
+		t.Fatal("found no PassPeephole keyed entry to delete in internal/vm")
 	}
 
 	found := false

@@ -11,8 +11,8 @@ import (
 
 // TestAnalysisReported checks that responses carry the abstract
 // interpreter's verdict: straight-line/bounded programs are proved,
-// data-dependent recursion stays unproven, and the metrics registry
-// counts both.
+// data-dependent recursion stays unproven, and the service metrics
+// count both.
 func TestAnalysisReported(t *testing.T) {
 	w, ok := workloads.ByName("fib")
 	if !ok {

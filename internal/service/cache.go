@@ -36,12 +36,11 @@ func newStore(cfg Config) *artifact.Store {
 
 // lookup returns src's content address and its unit from the program
 // cache, building the unit on a miss; the store single-flights
-// concurrent builds and caches only programs that passed the verifier.
-// It counts the lookup: a memory hit or a joined build is a cache hit,
-// a build or a disk load is a miss, and so is a failed build, which is
-// never cached. Quickened- and optimized-program metrics count only
-// true source builds: a unit served from the disk tier was counted by
-// the process that built it.
+// concurrent builds, caches only programs that passed the verifier and
+// counts how each lookup was served. The service counts what the store
+// does not: failed lookups, and the quickened and optimized programs
+// among true source builds (a unit served from the disk tier was
+// counted by the process that built it).
 func (s *Service) lookup(src string) (key string, u *artifact.Unit, hit bool, err error) {
 	key = artifact.SourceHash(s.optKey, src)
 	u, outcome, err := s.store.GetOrBuild("src:"+key, func() (*vm.Program, error) {
@@ -50,30 +49,23 @@ func (s *Service) lookup(src string) (key string, u *artifact.Unit, hit bool, er
 		}
 		return forth.CompileWithOptions(src, s.cfg.CompileOptions)
 	})
-	m := &s.metrics
 	switch {
 	case err != nil:
-		m.cacheMisses.Add(1)
+		s.count(func(m *Snapshot) { m.CacheMisses++ })
 		return key, nil, false, err
-	case outcome == artifact.MemoryHit:
-		m.cacheHits.Add(1)
-		return key, u, true, nil
-	case outcome == artifact.Coalesced:
-		m.cacheCoalesced.Add(1)
-		return key, u, true, nil
-	}
-	m.cacheMisses.Add(1)
-	if outcome == artifact.Miss {
-		if u.Quickened {
-			m.quickenedPrograms.Add(1)
-			m.quickenedOps.Add(int64(u.QuickenedOps))
-		}
-		if u.Optimized {
-			m.optimizedPrograms.Add(1)
-			for pass, n := range u.OptimizedOps {
-				m.optimizedOps[pass].Add(int64(n))
+	case outcome == artifact.Miss && (u.Quickened || u.Optimized):
+		s.count(func(m *Snapshot) {
+			if u.Quickened {
+				m.QuickenedPrograms++
+				m.QuickenedOps += int64(u.QuickenedOps)
 			}
-		}
+			if u.Optimized {
+				m.OptimizedPrograms++
+				for pass, n := range u.OptimizedOps {
+					m.OptimizedOps[vm.OptPass(pass).String()] += int64(n)
+				}
+			}
+		})
 	}
-	return key, u, false, nil
+	return key, u, outcome == artifact.MemoryHit || outcome == artifact.Coalesced, nil
 }

@@ -2,7 +2,7 @@ package service
 
 // Tests for the per-request ExecSpec surface (program arguments and
 // memory overlays), the response-stack cap, and the Prometheus
-// exposition of the metrics registry.
+// exposition of the service metrics.
 
 import (
 	"bytes"

@@ -55,7 +55,7 @@ func TestLimitDoesNotPoisonPool(t *testing.T) {
 }
 
 // TestLimitErrorClassCounted checks the limit class reaches the
-// metrics registry and the partial response reports the budget.
+// service metrics and the partial response reports the budget.
 func TestLimitErrorClassCounted(t *testing.T) {
 	s := mustService(t)
 	_, err := s.Run(context.Background(),

@@ -1,13 +1,13 @@
 package service
 
 import (
+	"maps"
 	"math/bits"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"stackcache/internal/artifact"
+	"stackcache/internal/compiled"
 	"stackcache/internal/vm"
 )
 
@@ -93,123 +93,6 @@ func BatchBucketBounds() [NumBatchBuckets]string {
 	return out
 }
 
-// engineMetrics is the per-engine slice of the registry: request count,
-// cumulative executed steps, and a latency histogram. All fields are
-// updated with atomics; the struct is never copied while live.
-type engineMetrics struct {
-	requests atomic.Int64
-	steps    atomic.Int64
-	buckets  [NumLatencyBuckets]atomic.Int64
-}
-
-// Metrics is the service's registry: lock-free counters every worker
-// updates and any reader can snapshot while traffic is in flight. The
-// zero value is ready to use. Per-engine slices are keyed by engine
-// wire name, so the registry follows whatever engine set the service
-// was built over — engines added through the engine registry get a
-// slice on first execution with no code here.
-type Metrics struct {
-	requests  atomic.Int64 // received by Run/Compile, including rejects
-	completed atomic.Int64 // finished (any class)
-
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	cacheCoalesced atomic.Int64 // waited on another request's compile
-
-	analysisProved   atomic.Int64 // executions of depth-proved programs
-	analysisUnproven atomic.Int64 // executions that kept dynamic checks
-
-	quickenedPrograms atomic.Int64 // cached programs rewritten to superinstruction form
-	quickenedOps      atomic.Int64 // superinstruction sites planted across those programs
-
-	optimizedPrograms atomic.Int64                  // cached programs serving a validated optimizer rewrite
-	optimizedOps      [vm.NumOptPasses]atomic.Int64 // rewritten/deleted instruction slots, per optimizer pass
-
-	batchInputs       atomic.Int64                  // inputs executed via batch requests
-	batchSizes        [NumBatchBuckets]atomic.Int64 // batch executions by input count
-	batchInputResults [NumErrorClasses]atomic.Int64 // per-input outcomes within batches
-
-	errors [NumErrorClasses]atomic.Int64
-
-	engines sync.Map // engine name -> *engineMetrics
-}
-
-// optPassLabels mirrors the optimizer's pass set (vm.OptPass) into the
-// service's label space: the vmd_optimized_ops_total{pass=...} series
-// and the snapshot's optimized_ops keys. It is a keyed
-// [vm.NumOptPasses]string literal on purpose — the repository linter
-// holds such tables to full coverage, so a new optimizer pass cannot
-// ship without a metric label.
-var optPassLabels = [vm.NumOptPasses]string{
-	vm.PassInline:     "inline",
-	vm.PassConstFold:  "constfold",
-	vm.PassBranchFold: "branchfold",
-	vm.PassPeephole:   "peephole",
-	vm.PassDCE:        "dce",
-}
-
-// observeAnalysis records one execution by the abstract interpreter's
-// verdict for its program (see Response.Analysis).
-func (m *Metrics) observeAnalysis(proved bool) {
-	if proved {
-		m.analysisProved.Add(1)
-	} else {
-		m.analysisUnproven.Add(1)
-	}
-}
-
-// observeBatch records one executed batch of n inputs.
-func (m *Metrics) observeBatch(n int) {
-	m.batchInputs.Add(int64(n))
-	b := 0
-	if n > 1 {
-		b = bits.Len(uint(n - 1)) // n <= 2^b
-	}
-	if b >= NumBatchBuckets {
-		b = NumBatchBuckets - 1
-	}
-	m.batchSizes[b].Add(1)
-}
-
-// observeBatchInput records one input's outcome within a batch. These
-// are deliberately separate from the request-level error counters:
-// completed-by-class keeps summing to requests (a batch is one
-// request), while per-input failures stay visible here.
-func (m *Metrics) observeBatchInput(class ErrorClass) {
-	m.batchInputResults[class].Add(1)
-}
-
-// observeDone records one finished request of any class.
-func (m *Metrics) observeDone(class ErrorClass) {
-	m.completed.Add(1)
-	m.errors[class].Add(1)
-}
-
-// observeExec additionally records an execution that actually ran on
-// the named engine: its step count and wall-clock latency.
-func (m *Metrics) observeExec(engine string, steps int64, d time.Duration) {
-	em := m.engineMetricsFor(engine)
-	em.requests.Add(1)
-	em.steps.Add(steps)
-	us := d.Microseconds()
-	b := 0
-	if us > 0 {
-		b = bits.Len64(uint64(us)) // us < 2^b
-	}
-	if b >= NumLatencyBuckets {
-		b = NumLatencyBuckets - 1
-	}
-	em.buckets[b].Add(1)
-}
-
-func (m *Metrics) engineMetricsFor(engine string) *engineMetrics {
-	if v, ok := m.engines.Load(engine); ok {
-		return v.(*engineMetrics)
-	}
-	v, _ := m.engines.LoadOrStore(engine, &engineMetrics{})
-	return v.(*engineMetrics)
-}
-
 // EngineSnapshot is the exported per-engine view.
 type EngineSnapshot struct {
 	Requests int64                    `json:"requests"`
@@ -217,9 +100,13 @@ type EngineSnapshot struct {
 	Latency  [NumLatencyBuckets]int64 `json:"latency_buckets"`
 }
 
-// Snapshot is a consistent-enough point-in-time copy of the registry
-// (individual counters are read atomically; cross-counter skew under
-// concurrent traffic is bounded by one in-flight request).
+// Snapshot is the service's metrics, each defined once here: the
+// service keeps one Snapshot, counts into its fields under a lock, and
+// Stats returns a copy taken under that lock, so the service's own
+// counters in one snapshot are mutually consistent (completed-by-class
+// sums to Completed). The cache and artifact counters are the artifact
+// store's and the compiled counters the compiled engine's, which Stats
+// reads alongside.
 type Snapshot struct {
 	Requests  int64 `json:"requests"`
 	Completed int64 `json:"completed"`
@@ -228,7 +115,8 @@ type Snapshot struct {
 	// CacheCoalesced those that joined another request's build, and
 	// CacheMisses those that built the program or loaded it from disk,
 	// failed builds included. CacheEvictions and CacheSize are the
-	// artifact store's own evictions and resident units.
+	// store's evictions and resident units. All but failed builds are
+	// read from the store (see Stats).
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheCoalesced int64 `json:"cache_coalesced"`
@@ -303,55 +191,96 @@ func (s Snapshot) HitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// snapshot copies the counters out of the registry.
-func (m *Metrics) snapshot() Snapshot {
+// Stats returns a copy of the service's metrics. The cache counters
+// are read from the artifact store: a memory hit is a cache hit, a
+// joined build is coalesced, and a build or disk load is a miss, as is
+// a failed lookup, which the store does not count and the service does
+// (in its stats.CacheMisses).
+func (s *Service) Stats() Snapshot {
+	s.statsMu.Lock()
+	snap := s.stats
+	snap.OptimizedOps = maps.Clone(snap.OptimizedOps)
+	snap.BatchInputResults = maps.Clone(snap.BatchInputResults)
+	snap.Errors = maps.Clone(snap.Errors)
+	snap.Engines = maps.Clone(snap.Engines)
+	s.statsMu.Unlock()
+	c := s.store.Counters()
+	snap.CacheHits = c.MemoryHits
+	snap.CacheCoalesced = c.Coalesced
+	snap.CacheMisses += c.Misses + c.DiskHits
+	snap.CacheEvictions = c.Evictions
+	snap.CacheSize = s.store.Len()
+	snap.CompiledPrograms, snap.CompiledProved = compiled.Counters()
+	snap.Artifact = c
+	return snap
+}
+
+// newStats returns the metrics of a service that has served nothing:
+// every optimizer pass label present, so the optimized_ops label set is
+// the pass set, and empty (not nil) maps elsewhere.
+func newStats() Snapshot {
 	s := Snapshot{
-		Requests:            m.requests.Load(),
-		Completed:           m.completed.Load(),
-		CacheHits:           m.cacheHits.Load(),
-		CacheMisses:         m.cacheMisses.Load(),
-		CacheCoalesced:      m.cacheCoalesced.Load(),
-		AnalysisProved:      m.analysisProved.Load(),
-		AnalysisUnproven:    m.analysisUnproven.Load(),
-		QuickenedPrograms:   m.quickenedPrograms.Load(),
-		QuickenedOps:        m.quickenedOps.Load(),
-		OptimizedPrograms:   m.optimizedPrograms.Load(),
 		OptimizedOps:        make(map[string]int64, vm.NumOptPasses),
-		BatchInputs:         m.batchInputs.Load(),
 		BatchSizeBounds:     BatchBucketBounds(),
 		BatchInputResults:   make(map[string]int64, NumErrorClasses),
 		Errors:              make(map[string]int64, NumErrorClasses),
 		Engines:             make(map[string]EngineSnapshot),
 		LatencyBucketBounds: BucketBounds(),
 	}
-	for b := range s.BatchSizes {
-		s.BatchSizes[b] = m.batchSizes[b].Load()
+	for pass := vm.OptPass(0); pass < vm.NumOptPasses; pass++ {
+		s.OptimizedOps[pass.String()] = 0
 	}
-	for pass, label := range optPassLabels {
-		s.OptimizedOps[label] = m.optimizedOps[pass].Load()
-	}
-	for c := 0; c < NumErrorClasses; c++ {
-		if n := m.errors[c].Load(); n != 0 {
-			s.Errors[ErrorClass(c).String()] = n
-		}
-		if n := m.batchInputResults[c].Load(); n != 0 {
-			s.BatchInputResults[ErrorClass(c).String()] = n
-		}
-	}
-	m.engines.Range(func(key, value any) bool {
-		em := value.(*engineMetrics)
-		if em.requests.Load() == 0 {
-			return true
-		}
-		es := EngineSnapshot{
-			Requests: em.requests.Load(),
-			Steps:    em.steps.Load(),
-		}
-		for b := range es.Latency {
-			es.Latency[b] = em.buckets[b].Load()
-		}
-		s.Engines[key.(string)] = es
-		return true
-	})
 	return s
+}
+
+// count applies f to the service's metrics under their lock.
+func (s *Service) count(f func(m *Snapshot)) {
+	s.statsMu.Lock()
+	f(&s.stats)
+	s.statsMu.Unlock()
+}
+
+// observeDone records one finished request of any class.
+func (s *Service) observeDone(class ErrorClass) {
+	s.count(func(m *Snapshot) {
+		m.Completed++
+		m.Errors[class.String()]++
+	})
+}
+
+// observeExec records one task a worker ran: its engine's execution
+// count, steps and wall-clock latency, the program's analysis verdict
+// once per input, and for a batch its size and each input's class.
+// Per-input classes are deliberately kept out of Errors: a batch is one
+// request, so completed-by-class keeps summing to requests, while
+// per-input failures stay visible in BatchInputResults.
+func (s *Service) observeExec(t *task, resp *Response, d time.Duration) {
+	s.count(func(m *Snapshot) {
+		name := t.eng.Name()
+		e := m.Engines[name]
+		e.Requests++
+		e.Steps += resp.Steps
+		e.Latency[expBucket(d.Microseconds(), NumLatencyBuckets)]++ // us < 2^b
+		m.Engines[name] = e
+		runs := int64(1)
+		if t.inputs != nil {
+			runs = int64(len(t.inputs))
+			m.BatchInputs += runs
+			m.BatchSizes[expBucket(runs-1, NumBatchBuckets)]++ // runs <= 2^b
+			for _, r := range resp.Results {
+				m.BatchInputResults[r.Class().String()]++
+			}
+		}
+		if t.spec.Facts.Proved {
+			m.AnalysisProved += runs
+		} else {
+			m.AnalysisUnproven += runs
+		}
+	})
+}
+
+// expBucket returns the smallest b with v < 2^b, clamped to the last
+// of n buckets.
+func expBucket(v int64, n int) int {
+	return min(bits.Len64(uint64(max(v, 0))), n-1)
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strconv"
+
+	"stackcache/internal/vm"
 )
 
 // WritePrometheus renders a metrics snapshot in the Prometheus text
@@ -16,29 +18,42 @@ import (
 // Conventions: every metric is prefixed vmd_; counters end in _total;
 // the per-engine latency histogram follows the native histogram-as-
 // cumulative-buckets encoding (vmd_exec_latency_seconds_bucket with an
-// le label, plus _count; no _sum, which the registry does not track).
+// le label, plus _count; no _sum, which the snapshot does not track).
 func WritePrometheus(w io.Writer, s Snapshot) error {
-	// Map iteration order is random; sort labels so scrapes are
-	// stable and diffs between scrapes are meaningful.
-	classes := make([]string, 0, len(s.Errors))
-	for c := range s.Errors {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	engines := make([]string, 0, len(s.Engines))
-	for e := range s.Engines {
-		engines = append(engines, e)
-	}
-	sort.Strings(engines)
-
 	var err error
 	p := func(format string, args ...any) {
 		if err == nil {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
+	family := func(name, typ, help string) {
+		p("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	}
 	counter := func(name, help string, v int64) {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+		family(name, "counter", help)
+		p("%s %d\n", name, v)
+	}
+	byClass := func(name, help string, m map[string]int64) {
+		family(name, "counter", help)
+		for _, c := range sortedKeys(m) {
+			p("%s{class=%q} %d\n", name, c, m[c])
+		}
+	}
+	// histogram writes one series of a histogram family: counts[i] is
+	// the count of bucket i, whose upper bound is le(i), and the last
+	// bucket catches the rest. Prometheus wants cumulative counts, and
+	// the total is the series' _count.
+	histogram := func(name, labels string, counts []int64, le func(i int) string) int64 {
+		cum := int64(0)
+		for i, n := range counts {
+			cum += n
+			bound := "+Inf"
+			if i < len(counts)-1 {
+				bound = le(i)
+			}
+			p("%s_bucket{%sle=%q} %d\n", name, labels, bound, cum)
+		}
+		return cum
 	}
 
 	counter("vmd_requests_total", "Requests received, including rejects.", s.Requests)
@@ -47,9 +62,10 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	counter("vmd_cache_misses_total", "Program cache misses (compiles).", s.CacheMisses)
 	counter("vmd_cache_coalesced_total", "Lookups that joined an in-flight compile.", s.CacheCoalesced)
 	counter("vmd_cache_evictions_total", "Programs evicted from the cache.", s.CacheEvictions)
-	p("# HELP vmd_cache_size Programs currently cached.\n# TYPE vmd_cache_size gauge\nvmd_cache_size %d\n", s.CacheSize)
+	family("vmd_cache_size", "gauge", "Programs currently cached.")
+	p("vmd_cache_size %d\n", s.CacheSize)
 
-	p("# HELP vmd_analysis_total Executions by the abstract interpreter's verdict for their program.\n# TYPE vmd_analysis_total counter\n")
+	family("vmd_analysis_total", "counter", "Executions by the abstract interpreter's verdict for their program.")
 	p("vmd_analysis_total{outcome=\"proved\"} %d\n", s.AnalysisProved)
 	p("vmd_analysis_total{outcome=\"unproven\"} %d\n", s.AnalysisUnproven)
 
@@ -57,17 +73,17 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	counter("vmd_quickened_ops_total", "Superinstruction sites planted across quickened programs.", s.QuickenedOps)
 
 	counter("vmd_optimized_programs_total", "Cached programs serving a validator-certified optimizer rewrite.", s.OptimizedPrograms)
-	p("# HELP vmd_optimized_ops_total Instruction slots rewritten or deleted per optimizer pass across optimized programs.\n# TYPE vmd_optimized_ops_total counter\n")
+	family("vmd_optimized_ops_total", "counter", "Instruction slots rewritten or deleted per optimizer pass across optimized programs.")
 	// Declaration order, every pass label always present: the label set
 	// IS the optimizer's pass set, which the lint suite pins.
-	for _, pass := range optPassLabels {
-		p("vmd_optimized_ops_total{pass=%q} %d\n", pass, s.OptimizedOps[pass])
+	for pass := vm.OptPass(0); pass < vm.NumOptPasses; pass++ {
+		p("vmd_optimized_ops_total{pass=%q} %d\n", pass, s.OptimizedOps[pass.String()])
 	}
 
 	counter("vmd_compiled_programs_total", "Programs lowered to AOT closure artifacts by the compiled engine.", s.CompiledPrograms)
 	counter("vmd_compiled_proved_total", "AOT artifacts carrying a proof-elided code variant.", s.CompiledProved)
 
-	p("# HELP vmd_artifact_total Artifact-store events by pipeline stage and outcome.\n# TYPE vmd_artifact_total counter\n")
+	family("vmd_artifact_total", "counter", "Artifact-store events by pipeline stage and outcome.")
 	p("vmd_artifact_total{stage=\"unit\",outcome=\"memory_hit\"} %d\n", s.Artifact.MemoryHits)
 	p("vmd_artifact_total{stage=\"unit\",outcome=\"disk_hit\"} %d\n", s.Artifact.DiskHits)
 	p("vmd_artifact_total{stage=\"unit\",outcome=\"miss\"} %d\n", s.Artifact.Misses)
@@ -78,59 +94,45 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	p("vmd_artifact_total{stage=\"persist\",outcome=\"error\"} %d\n", s.Artifact.PersistErrors)
 	p("vmd_artifact_total{stage=\"optimize\",outcome=\"refused\"} %d\n", s.Artifact.OptimizeRefused)
 
-	p("# HELP vmd_results_total Finished requests by error class.\n# TYPE vmd_results_total counter\n")
-	for _, c := range classes {
-		p("vmd_results_total{class=%q} %d\n", c, s.Errors[c])
-	}
+	byClass("vmd_results_total", "Finished requests by error class.", s.Errors)
 
 	counter("vmd_batch_inputs_total", "Inputs executed via batch requests.", s.BatchInputs)
-	inputClasses := make([]string, 0, len(s.BatchInputResults))
-	for c := range s.BatchInputResults {
-		inputClasses = append(inputClasses, c)
-	}
-	sort.Strings(inputClasses)
-	p("# HELP vmd_batch_input_results_total Per-input outcomes within batch requests, by error class.\n# TYPE vmd_batch_input_results_total counter\n")
-	for _, c := range inputClasses {
-		p("vmd_batch_input_results_total{class=%q} %d\n", c, s.BatchInputResults[c])
-	}
-	p("# HELP vmd_batch_size Inputs per executed batch request.\n# TYPE vmd_batch_size histogram\n")
-	// Bucket i counts batches of at most 2^i inputs; the Prometheus
-	// encoding wants cumulative counts. The sum of sizes is exactly
-	// the total input count the registry already tracks.
-	cumBatches := int64(0)
-	for i := 0; i < NumBatchBuckets-1; i++ {
-		cumBatches += s.BatchSizes[i]
-		p("vmd_batch_size_bucket{le=%q} %d\n", strconv.Itoa(1<<i), cumBatches)
-	}
-	cumBatches += s.BatchSizes[NumBatchBuckets-1]
-	p("vmd_batch_size_bucket{le=\"+Inf\"} %d\n", cumBatches)
-	p("vmd_batch_size_sum %d\n", s.BatchInputs)
-	p("vmd_batch_size_count %d\n", cumBatches)
+	byClass("vmd_batch_input_results_total", "Per-input outcomes within batch requests, by error class.", s.BatchInputResults)
+	// Bucket i counts batches of at most 2^i inputs; the sum of sizes
+	// is exactly the total input count the snapshot already carries.
+	family("vmd_batch_size", "histogram", "Inputs per executed batch request.")
+	batches := histogram("vmd_batch_size", "", s.BatchSizes[:], func(i int) string { return strconv.Itoa(1 << i) })
+	p("vmd_batch_size_sum %d\nvmd_batch_size_count %d\n", s.BatchInputs, batches)
 
-	p("# HELP vmd_engine_requests_total Executions per engine.\n# TYPE vmd_engine_requests_total counter\n")
+	engines := sortedKeys(s.Engines)
+	family("vmd_engine_requests_total", "counter", "Executions per engine.")
 	for _, e := range engines {
 		p("vmd_engine_requests_total{engine=%q} %d\n", e, s.Engines[e].Requests)
 	}
-	p("# HELP vmd_engine_steps_total VM instructions executed per engine.\n# TYPE vmd_engine_steps_total counter\n")
+	family("vmd_engine_steps_total", "counter", "VM instructions executed per engine.")
 	for _, e := range engines {
 		p("vmd_engine_steps_total{engine=%q} %d\n", e, s.Engines[e].Steps)
 	}
-
-	p("# HELP vmd_exec_latency_seconds Execution wall-clock latency per engine.\n# TYPE vmd_exec_latency_seconds histogram\n")
+	// Latency bucket i counts executions in [2^(i-1), 2^i) microseconds
+	// (bucket 0: <1us); Prometheus wants upper bounds in seconds.
+	family("vmd_exec_latency_seconds", "histogram", "Execution wall-clock latency per engine.")
 	for _, e := range engines {
 		es := s.Engines[e]
-		// The registry's bucket i counts latencies in [2^(i-1), 2^i)
-		// microseconds (bucket 0: <1us); the Prometheus encoding wants
-		// cumulative counts with upper bounds in seconds.
-		cum := int64(0)
-		for i := 0; i < NumLatencyBuckets-1; i++ {
-			cum += es.Latency[i]
-			le := strconv.FormatFloat(float64(int64(1)<<i)/1e6, 'g', -1, 64)
-			p("vmd_exec_latency_seconds_bucket{engine=%q,le=%q} %d\n", e, le, cum)
-		}
-		cum += es.Latency[NumLatencyBuckets-1]
-		p("vmd_exec_latency_seconds_bucket{engine=%q,le=\"+Inf\"} %d\n", e, cum)
-		p("vmd_exec_latency_seconds_count{engine=%q} %d\n", e, cum)
+		n := histogram("vmd_exec_latency_seconds", fmt.Sprintf("engine=%q,", e), es.Latency[:], func(i int) string {
+			return strconv.FormatFloat(float64(int64(1)<<i)/1e6, 'g', -1, 64)
+		})
+		p("vmd_exec_latency_seconds_count{engine=%q} %d\n", e, n)
 	}
 	return err
+}
+
+// sortedKeys returns m's keys in order. Map iteration order is random;
+// sorted labels keep scrapes stable and diffs between them meaningful.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -22,10 +22,10 @@
 //     worker or balloon its memory;
 //   - machine reuse via sync.Pool (interp.Machine.Rebind), so
 //     steady-state executions allocate near zero;
-//   - an atomic metrics registry: requests, cache hits/misses/
-//     coalesced compiles/evictions, executed steps, errors by class,
-//     and per-engine latency histograms — exportable as JSON (Stats)
-//     or Prometheus text (WritePrometheus).
+//   - one metrics Snapshot under a lock: requests, errors by class,
+//     executed steps and per-engine latency histograms, with the cache
+//     counters read from the artifact store — exportable as JSON
+//     (Stats) or Prometheus text (WritePrometheus).
 //
 // cmd/vmd exposes the same API over HTTP/JSON.
 package service
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"stackcache/internal/artifact"
-	"stackcache/internal/compiled"
 	"stackcache/internal/engine"
 	"stackcache/internal/forth"
 	"stackcache/internal/interp"
@@ -362,10 +361,12 @@ type result struct {
 // Service is the concurrent execution service. Create one with New,
 // submit with Run, observe with Stats, and stop it with Close.
 type Service struct {
-	cfg     Config
-	optKey  string          // cfg.CompileOptions.CacheKey(), computed once
-	store   *artifact.Store // the program cache
-	metrics Metrics
+	cfg    Config
+	optKey string          // cfg.CompileOptions.CacheKey(), computed once
+	store  *artifact.Store // the program cache
+
+	statsMu sync.Mutex
+	stats   Snapshot // the service's metrics, guarded by statsMu; see Stats
 
 	// onCompile, when set, runs at the start of every real compiler
 	// invocation. Tests use it to prove single-flight dedup (exactly
@@ -394,6 +395,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:     cfg,
 		optKey:  cfg.CompileOptions.CacheKey(),
 		store:   newStore(cfg),
+		stats:   newStats(),
 		engines: make(map[string]engine.Engine, len(engines)),
 		tasks:   make(chan *task, cfg.QueueDepth),
 	}
@@ -427,29 +429,17 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// Stats snapshots the metrics registry; the cache's evictions and
-// size are read from the store.
-func (s *Service) Stats() Snapshot {
-	snap := s.metrics.snapshot()
-	c := s.store.Counters()
-	snap.CacheEvictions = c.Evictions
-	snap.CacheSize = s.store.Len()
-	snap.CompiledPrograms, snap.CompiledProved = compiled.Counters()
-	snap.Artifact = c
-	return snap
-}
-
 // Compile compiles (or finds) src in the program cache without
 // executing it, returning its content address — the warm-up/pre-flight
 // API behind vmd's /compile endpoint.
 func (s *Service) Compile(src string) (key string, cacheHit bool, err error) {
-	s.metrics.requests.Add(1)
+	s.count(func(m *Snapshot) { m.Requests++ })
 	key, _, hit, err := s.lookup(src)
 	if err != nil {
-		s.metrics.observeDone(ClassCompile)
+		s.observeDone(ClassCompile)
 		return "", false, classified(ClassCompile, err)
 	}
-	s.metrics.observeDone(ClassOK)
+	s.observeDone(ClassOK)
 	return key, hit, nil
 }
 
@@ -457,7 +447,7 @@ func (s *Service) Compile(src string) (key string, cacheHit bool, err error) {
 // worker pool and waits for the result or ctx. All failures are
 // *Error values; Classify recovers the class.
 func (s *Service) Run(ctx context.Context, req Request) (*Response, error) {
-	s.metrics.requests.Add(1)
+	s.count(func(m *Snapshot) { m.Requests++ })
 	// Callers that do not care pass nil; normalize it here so neither
 	// the final select nor the worker's queued-cancellation check ever
 	// sees a nil context.
@@ -578,7 +568,7 @@ func (s *Service) Run(ctx context.Context, req Request) (*Response, error) {
 // worker.
 func (s *Service) await(ctx context.Context, t *task, cacheHit bool) (*Response, error) {
 	deliver := func(r result) (*Response, error) {
-		s.metrics.observeDone(Classify(r.err))
+		s.observeDone(Classify(r.err))
 		if r.resp != nil {
 			r.resp.CacheHit = cacheHit
 		}
@@ -608,7 +598,7 @@ func (s *Service) await(ctx context.Context, t *task, cacheHit bool) (*Response,
 // fail records a finished request of the given class and returns the
 // classified error.
 func (s *Service) fail(class ErrorClass, err error) (*Response, error) {
-	s.metrics.observeDone(class)
+	s.observeDone(class)
 	return nil, classified(class, err)
 }
 
@@ -629,11 +619,7 @@ func (s *Service) worker() {
 		} else {
 			resp, err = s.execute(t)
 		}
-		steps := int64(0)
-		if resp != nil {
-			steps = resp.Steps
-		}
-		s.metrics.observeExec(t.eng.Name(), steps, time.Since(start))
+		s.observeExec(t, resp, time.Since(start))
 		if err != nil {
 			err = toError(err)
 		}
@@ -700,7 +686,6 @@ func (s *Service) runInput(m *interp.Machine, t *task, spec interp.ExecSpec) Inp
 			fmt.Errorf("service: final stack depth %d exceeds the %d-cell response cap",
 				m.SP, s.cfg.MaxStackCells))
 	}
-	s.metrics.observeAnalysis(t.spec.Facts.Proved)
 	r := InputResult{
 		Output:     string(out),
 		Stack:      append([]vm.Cell(nil), m.Stack[:shipped]...),
@@ -760,9 +745,7 @@ func (s *Service) executeBatch(t *task) *Response {
 		r := s.runInput(m, t, spec)
 		resp.Results[i] = r
 		resp.Steps += r.Steps
-		s.metrics.observeBatchInput(r.Class())
 	}
-	s.metrics.observeBatch(len(t.inputs))
 	resp.StepsAccounting, resp.SourceSteps = stepsAccounting(t.unit.Optimized, resp.Steps)
 	return resp
 }

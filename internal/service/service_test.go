@@ -207,6 +207,65 @@ func TestConcurrentMixedEngines(t *testing.T) {
 	}
 }
 
+// TestStatsConsistentUnderLoad reads Stats while requests, batches
+// among them, are in flight: every snapshot is taken under the one
+// metrics lock, so its counters agree with each other exactly, not
+// just once traffic stops.
+func TestStatsConsistentUnderLoad(t *testing.T) {
+	s := mustService(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				req := Request{Source: addSource, Engine: s.Engines()[(g+i)%len(s.Engines())]}
+				if i%3 == 0 {
+					req.Source = ": main / . ;"
+					req.Inputs = []Input{{Args: []vm.Cell{6, 2}}, {Args: []vm.Cell{1, 0}}}
+				}
+				s.Run(context.Background(), req)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reads := 0; ; reads++ {
+		snap := s.Stats()
+		sum := func(m map[string]int64) (n int64) {
+			for _, v := range m {
+				n += v
+			}
+			return n
+		}
+		batches, execs := int64(0), int64(0)
+		for _, n := range snap.BatchSizes {
+			batches += n
+		}
+		for _, e := range snap.Engines {
+			execs += e.Requests
+		}
+		if got := sum(snap.Errors); got != snap.Completed {
+			t.Fatalf("read %d: errors sum to %d, completed %d", reads, got, snap.Completed)
+		}
+		if got := sum(snap.BatchInputResults); got != snap.BatchInputs {
+			t.Fatalf("read %d: batch input results sum to %d, batch inputs %d", reads, got, snap.BatchInputs)
+		}
+		// An execution counts one analysis verdict per input it ran.
+		if got := snap.AnalysisProved + snap.AnalysisUnproven; got != execs-batches+snap.BatchInputs {
+			t.Fatalf("read %d: %d analysis verdicts, want %d", reads, got, execs-batches+snap.BatchInputs)
+		}
+		select {
+		case <-done:
+			if got := s.Stats().Completed; got != 200 {
+				t.Errorf("completed %d, want 200", got)
+			}
+			return
+		default:
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s := mustService(t)
 	cases := []struct {

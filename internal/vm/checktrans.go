@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 )
 
@@ -58,10 +59,12 @@ import (
 // vm constructs; the validator proves the rewrite itself.
 //
 // The validator's total work is bounded: one budget of symbolic steps,
-// linear in the two programs' lengths, covers every pair, so a
-// program whose episodes re-walk a shared tail from many branch pairs
-// is refused in linear time instead of being validated in quadratic
-// time.
+// linear in the two programs' lengths, covers every pair and every
+// episode, so a program whose episodes re-walk a shared tail from many
+// branch pairs is refused in linear time instead of being validated in
+// quadratic time. An episode may spend whatever budget is left: a
+// folded call tree can make one episode of any length, and no smaller
+// fixed bound covers them all.
 //
 // What the validator does NOT promise: identical step counts (the
 // point of optimizing is fewer steps; a run can therefore complete
@@ -73,6 +76,13 @@ import (
 // ctMaxPairs bounds the explored pc-pair set; exceeding it refuses
 // the translation (never accepts it).
 const ctMaxPairs = 1 << 16
+
+// ErrValidatorBudget is wrapped by every refusal that is a resource
+// bound rather than a divergence: the work budget of symbolic steps or
+// the cap on explored pc pairs ran out. Such a rewrite may well be
+// correct; the validator refuses it, never accepts it, and the source
+// program is served.
+var ErrValidatorBudget = errors.New("validator budget exhausted; refusing")
 
 // ctStepsPerInstr and ctStepsBase size the validator's work budget:
 // ctStepsPerInstr*(len(o)+len(t)) + ctStepsBase symbolic steps over
@@ -141,7 +151,6 @@ func ProveTranslation(orig *Proof, opt *Program) (*Proof, error) {
 	v := &validator{
 		o: o, t: t, seen: make(map[pcPair]bool),
 		slo: newSLMemo(o), slt: newSLMemo(t),
-		epCap:  4*n + 256,
 		budget: ctStepsPerInstr*n + ctStepsBase,
 	}
 	v.enqueue(pcPair{o.Entry, t.Entry})
@@ -153,7 +162,7 @@ func ProveTranslation(orig *Proof, opt *Program) (*Proof, error) {
 		}
 	}
 	if v.overflow {
-		return nil, fmt.Errorf("vm: checktranslation: more than %d pc pairs; refusing", ctMaxPairs)
+		return nil, fmt.Errorf("vm: checktranslation: more than %d pc pairs: %w", ctMaxPairs, ErrValidatorBudget)
 	}
 	return tp, nil
 }
@@ -171,9 +180,9 @@ type validator struct {
 	// slo and slt classify the straight-line words of o and t.
 	slo, slt slMemo
 
-	// epCap bounds one episode's symbolic steps; steps counts those
-	// of every pair so far, against budget (see ctStepsPerInstr).
-	epCap, steps, budget int
+	// steps counts the symbolic steps of every episode so far, against
+	// budget (see ctStepsPerInstr).
+	steps, budget int
 
 	// ctx is the hash-cons table, reset before each pair so every
 	// pair's terms are its own, as if freshly allocated; eo and et
@@ -203,15 +212,14 @@ func (v *validator) checkPair(pair pcPair) error {
 	ctx := &v.ctx
 	ctx.reset()
 	eo, et := &v.eo, &v.et
-	if err := runEpisode(ctx, eo, v.o, &v.slo, pair.o, v.epCap); err != nil {
+	if err := runEpisode(ctx, eo, v.o, &v.slo, pair.o, v.budget-v.steps); err != nil {
 		return fmt.Errorf("vm: checktranslation: original pc %d: %w", pair.o, err)
 	}
-	if err := runEpisode(ctx, et, v.t, &v.slt, pair.t, v.epCap); err != nil {
+	v.steps += eo.steps
+	if err := runEpisode(ctx, et, v.t, &v.slt, pair.t, v.budget-v.steps); err != nil {
 		return fmt.Errorf("vm: checktranslation: rewritten pc %d: %w", pair.t, err)
 	}
-	if v.steps += eo.steps + et.steps; v.steps > v.budget {
-		return fmt.Errorf("vm: checktranslation: more than %d symbolic steps; refusing", v.budget)
-	}
+	v.steps += et.steps
 	if err := compareEpisodes(eo, et); err != nil {
 		return fmt.Errorf("vm: checktranslation: pcs (%d,%d): %w", pair.o, pair.t, err)
 	}
@@ -472,8 +480,7 @@ type episode struct {
 // through calls whose callees are straight-line in turn, of any
 // length. A call cycle is not straight-line. Each pc gets one verdict
 // per validation, so classifying costs time linear in the program;
-// following a straight-line callee is paid for by the episode step
-// cap and the work budget.
+// following a straight-line callee is paid for by the work budget.
 type slMemo struct {
 	code    []Instr
 	verdict []slVerdict
@@ -534,8 +541,8 @@ func (m *slMemo) straight(entry int) bool {
 // runEpisode symbolically executes p from pc until its next dynamic
 // control decision, following nops, forward branches,
 // constant-decided conditionals and straight-line calls (as sl
-// classifies p's words) inline. It records the episode in e, reusing
-// e's slices.
+// classifies p's words) inline, for at most stepCap steps. It records
+// the episode in e, reusing e's slices.
 func runEpisode(ctx *epCtx, e *episode, p *Program, sl *slMemo, pc int, stepCap int) error {
 	code := p.Code
 	*e = episode{st: e.st[:0], rst: e.rst[:0], events: e.events[:0]}
@@ -576,7 +583,7 @@ func runEpisode(ctx *epCtx, e *episode, p *Program, sl *slMemo, pc int, stepCap 
 
 	for {
 		if e.steps >= stepCap {
-			return fmt.Errorf("episode exceeds %d symbolic steps", stepCap)
+			return fmt.Errorf("episode exceeds the %d symbolic steps left: %w", stepCap, ErrValidatorBudget)
 		}
 		if pc < 0 || pc >= len(code) {
 			return fmt.Errorf("symbolic pc %d out of range", pc)

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -140,7 +141,7 @@ func TestCheckTranslationWorkBudget(t *testing.T) {
 		start := time.Now()
 		_, err = vm.ProveTranslation(pf, r.Prog)
 		fastest = min(fastest, time.Since(start))
-		if err == nil || !strings.Contains(err.Error(), "symbolic steps") {
+		if !errors.Is(err, vm.ErrValidatorBudget) || !strings.Contains(err.Error(), "symbolic steps") {
 			t.Fatalf("err = %v, want a work-budget refusal", err)
 		}
 	}
@@ -235,32 +236,62 @@ func callChain(k int) string {
 	return b.String()
 }
 
+// foldedCallTrees are two call trees of empty words the optimizer
+// inlines away in full. The validator follows each call inline, so one
+// episode walks the whole tree. The first, 3·5·14 calls, once exceeded
+// a fixed per-episode cap and now validates; the second is larger than
+// the work budget and is refused with ErrValidatorBudget. No fixed
+// bound covers every such tree, so a budget refusal is the documented
+// outcome for it, not a bug.
+var foldedCallTrees = []string{
+	": w5 ; : w6 w5 w5 w5 ; : w7" + strings.Repeat(" w6", 5) + " ; : w8" + strings.Repeat(" w7", 14) + " ; : main w8 ;",
+	": w0 ; : w1" + strings.Repeat(" w0", 10) + " ; : w2" + strings.Repeat(" w1", 12) + " ; : w3 w1" +
+		strings.Repeat(" w2", 14) + " ; : w4 w3 ; : w5 w4 ; : w6 w5 ; : w7 w6 ; : w8 w7 w7 ; : main w8 ;",
+}
+
 // TestCheckTranslationCallChain is the classifier's denial-of-service
 // case: a classifier that sizes each callee afresh at every call site
 // takes time exponential in k (about 30 s at k = 8). Classified once
 // per word, the chain gets its verdict from the work budget at once.
+// The folded call trees get theirs as fast: the first is accepted, the
+// second refused by the budget.
 func TestCheckTranslationCallChain(t *testing.T) {
-	const k = 8
-	p, err := forth.Compile(callChain(k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := vm.Prove(p)
-	if err != nil || !pf.Facts().Proved {
-		t.Fatalf("test program is not proven: %v", err)
-	}
-	r := vm.OptimizeProof(pf)
-	if !r.Changed {
-		t.Fatal("test program was not rewritten")
-	}
-	// The fastest of three attempts, so a busy host does not fail it.
-	fastest := time.Hour
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		vm.ProveTranslation(pf, r.Prog)
-		fastest = min(fastest, time.Since(start))
-	}
-	if !raceEnabled && fastest > 100*time.Millisecond {
-		t.Errorf("verdict took %v, want under 100ms", fastest)
+	errAny := errors.New("any verdict")
+	for _, c := range []struct {
+		name, src string
+		want      error // nil: accepted; ErrValidatorBudget: refused by the budget; errAny: either
+	}{
+		{"chain8", callChain(8), errAny},
+		{"tree0", foldedCallTrees[0], nil},
+		{"tree1", foldedCallTrees[1], vm.ErrValidatorBudget},
+	} {
+		p, err := forth.Compile(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := vm.Prove(p)
+		if err != nil || !pf.Facts().Proved {
+			t.Fatalf("%s: test program is not proven: %v", c.name, err)
+		}
+		r := vm.OptimizeProof(pf)
+		if !r.Changed {
+			t.Fatalf("%s: test program was not rewritten", c.name)
+		}
+		// The fastest of three attempts, so a busy host does not fail it.
+		fastest := time.Hour
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			_, err = vm.ProveTranslation(pf, r.Prog)
+			fastest = min(fastest, time.Since(start))
+		}
+		switch {
+		case c.want == nil && err != nil:
+			t.Errorf("%s: rewrite refused: %v", c.name, err)
+		case c.want == vm.ErrValidatorBudget && !errors.Is(err, c.want):
+			t.Errorf("%s: err = %v, want a refusal wrapping ErrValidatorBudget", c.name, err)
+		}
+		if !raceEnabled && fastest > 100*time.Millisecond {
+			t.Errorf("%s: verdict took %v, want under 100ms", c.name, fastest)
+		}
 	}
 }

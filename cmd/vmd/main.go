@@ -10,7 +10,7 @@
 //
 //	POST /run      {"source": ": main + . ;", "engine": "static", "args": [30, 12], "max_steps": 100000}
 //	POST /run      {"source": ": main + . ;", "inputs": [{"args": [1, 2]}, {"args": [40, 2]}]}   # batch
-//	POST /compile  {"source": ": main 1 2 + . ;"}   # warm the program cache
+//	POST /compile  {"source": ": main 1 2 + . ;"}   # full build, for a program that will be reused
 //	GET  /engines  # registered engines with their contract traits
 //	GET  /stats    # metrics snapshot (JSON)
 //	GET  /metrics  # the same snapshot in Prometheus text format
@@ -24,12 +24,14 @@
 // the program runs once per input on a single worker pass, and the
 // response carries per-input "results" (each with its own output,
 // stack, steps and error class — one failing input does not fail the
-// batch). Batch size is capped by -maxbatch. With -quicken (the
-// default) programs are rewritten to profile-mined superinstructions
-// when they enter the cache ("quickened": true in responses) — see the
-// -h text for how -super and -quicken compose. With -optimize (also
-// the default) programs are additionally run through the static
-// optimizer at cache time, and the rewrite is served only after the
+// batch). Batch size is capped by -maxbatch. A program /run has never
+// seen gets a base build: compiled, verified and analyzed. It gets the
+// full build once it has run 2^16 source steps, or when a client posts
+// it to /compile. With -quicken (the default) the full build rewrites
+// the program to profile-mined superinstructions ("quickened": true in
+// responses) — see the -h text for how -super and -quicken compose.
+// With -optimize (also the default) the full build additionally runs
+// the static optimizer, and the rewrite is served only after the
 // translation validator proves it observably equivalent ("optimized":
 // true; "steps_accounting" says which instruction stream "steps"
 // counted). Errors come back as JSON
@@ -244,8 +246,8 @@ func main() {
 		maxStack = flag.Int("maxstack", 1024, "largest final stack a response may carry, in cells")
 		maxBatch = flag.Int("maxbatch", 64, "largest number of inputs a batch /run may carry")
 		superins = flag.Bool("super", false, "compile with superinstruction fusion")
-		quicken  = flag.Bool("quicken", true, "quicken cached programs to profile-mined superinstructions")
-		optimize = flag.Bool("optimize", true, "optimize cached programs, serving only validator-certified rewrites")
+		quicken  = flag.Bool("quicken", true, "quicken programs to profile-mined superinstructions in their full build (after /compile or 2^16 source steps)")
+		optimize = flag.Bool("optimize", true, "optimize programs in their full build (after /compile or 2^16 source steps), serving only validator-certified rewrites")
 		cacheDir = flag.String("cachedir", "", "persist compiled artifacts to this directory (warm restarts)")
 	)
 	flag.Usage = func() {
@@ -253,20 +255,26 @@ func main() {
 		flag.PrintDefaults()
 		fmt.Fprintf(flag.CommandLine.Output(), "\nEngines (POST /run \"engine\" field): %v\n", engine.Names())
 		fmt.Fprintf(flag.CommandLine.Output(), `
+Base and full builds: a program /run has never seen is compiled,
+verified and analyzed only (the base build). It gets the full build,
+which adds -optimize, -quicken and -cachedir, once it has executed
+2^16 source steps or when a client posts it to /compile. Promotions
+show as vmd_artifact_total{stage="unit",outcome="promoted"}.
+
 Superinstruction flags compose; both leave observable behavior (output,
 stack, step counts, error classes) identical to plain execution:
 
   -super    front-end peephole: "literal +" compiles to the standalone
             lit-add opcode and the program shrinks. Changes the cache
             key (it is a compile option).
-  -quicken  cache-time rewrite: verified programs are re-written in
-            place to profile-mined superinstructions (vm.Fusions) when
-            inserted into the program cache, then re-verified. The two
-            passes share one fusion table, so a pair the peephole
-            consumed is gone before quickening and nothing fuses twice.
-            Responses report "quickened": true; /metrics exposes
+  -quicken  full-build rewrite: verified programs are re-written in
+            place to profile-mined superinstructions (vm.Fusions),
+            then re-verified. The two passes share one fusion table,
+            so a pair the peephole consumed is gone before quickening
+            and nothing fuses twice. Responses report
+            "quickened": true; /metrics exposes
             vmd_quickened_programs_total and vmd_quickened_ops_total.
-  -optimize cache-time proof-carrying optimization: verified,
+  -optimize full-build proof-carrying optimization: verified,
             depth-proved programs are rewritten (constant folding,
             branch folding, inlining, peepholes, dead-code
             elimination) and the rewrite is served ONLY when the
@@ -282,16 +290,15 @@ stack, step counts, error classes) identical to plain execution:
 
 Persistence:
 
-  -cachedir writes every compiled artifact (quickened bytecode plus its
+  -cachedir writes every full build (quickened bytecode plus its
             analysis facts, checksummed) to the named directory and
             reads it back on later runs: a restarted vmd serves a
             previously-seen program without re-compiling, re-verifying
-            or re-analyzing it. Entries are keyed by source hash and a
-            policy fingerprint (compile options + -quicken +
-            -optimize), so a
-            directory is shared safely between processes only when
-            those agree; corrupt or mismatched entries are recomputed,
-            never trusted. /metrics reports the tiers under
+            or re-analyzing it. Base builds are never written. Entries
+            are keyed by source hash and a policy fingerprint (compile
+            options + -quicken + -optimize), so a directory is shared
+            safely between processes only when those agree; corrupt or
+            mismatched entries are recomputed, never trusted. /metrics reports the tiers under
             vmd_artifact_total{stage,outcome} ("disk_hit" counts warm
             starts).
 `)

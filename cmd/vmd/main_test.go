@@ -14,7 +14,14 @@ import (
 
 // TestRunWireBytes pins /run's response bytes: the handler encodes the
 // service's own Request and Response types, so a change to their JSON
-// tags or field order shows here rather than in clients.
+// tags or field order shows here rather than in clients. A never-seen
+// program is served its base build; a case marked compile posts the
+// source to /compile first, which gives it the full build.
+// longSource runs for about 100,000 source steps, past
+// artifact.PromoteSteps, so its second /run is promoted; the optimizer
+// folds its first half.
+const longSource = ": double dup + ; : main 21 double . 0 begin 1 + dup 20000 = until drop ;"
+
 func TestRunWireBytes(t *testing.T) {
 	svc, err := service.New(service.Config{Workers: 1, Quicken: true, Optimize: true})
 	if err != nil {
@@ -26,11 +33,19 @@ func TestRunWireBytes(t *testing.T) {
 	cases := []struct {
 		body, want string
 		status     int
+		compile    bool
 	}{{
 		body:   `{"source": ": main 1 2 + . ;", "engine": "static"}`,
 		status: http.StatusOK,
 		want: `{"key":"2094f25ccd4a27e92507bd830075a304794425be51826706dccdd7134d5d85cb","engine":"static",` +
-			`"output":"3 ","stack":null,"stack_depth":0,"steps":3,"cache_hit":false,"analysis":"proved",` +
+			`"output":"3 ","stack":null,"stack_depth":0,"steps":7,"cache_hit":false,"analysis":"proved",` +
+			`"quickened":false,"optimized":false,"steps_accounting":"source","source_steps":7}`,
+	}, {
+		body:    `{"source": ": main 1 2 + . ;", "engine": "static"}`,
+		status:  http.StatusOK,
+		compile: true,
+		want: `{"key":"2094f25ccd4a27e92507bd830075a304794425be51826706dccdd7134d5d85cb","engine":"static",` +
+			`"output":"3 ","stack":null,"stack_depth":0,"steps":3,"cache_hit":true,"analysis":"proved",` +
 			`"quickened":false,"optimized":true,"steps_accounting":"optimized"}`,
 	}, {
 		body:   `{"source": ": main / . ;", "engine": "static", "inputs": [{"args": [6, 2]}, {"args": [84, 2]}, {"args": [1, 0]}]}`,
@@ -46,14 +61,21 @@ func TestRunWireBytes(t *testing.T) {
 		body:   `{"source": ": main 60 emit 62 emit 38 emit ;", "args": [7]}`,
 		status: http.StatusOK,
 		want: `{"key":"759c0b811897b1316aecb7181d6969cc2e10562dd70ebaf5363f4a2882c788f8","engine":"switch",` +
-			`"output":"\u003c\u003e\u0026","stack":[7],"stack_depth":1,"steps":7,"cache_hit":false,"analysis":"proved",` +
-			`"quickened":false,"optimized":true,"steps_accounting":"optimized"}`,
+			`"output":"\u003c\u003e\u0026","stack":[7],"stack_depth":1,"steps":9,"cache_hit":false,"analysis":"proved",` +
+			`"quickened":false,"optimized":false,"steps_accounting":"source","source_steps":9}`,
 	}, {
 		body:   `{"source": ": main 1 ;", "inputs": [{"bogus": 1}]}`,
 		status: http.StatusBadRequest,
 		want:   `{"class":"bad_request","error":"bad JSON: json: unknown field \"bogus\""}`,
 	}}
 	for _, c := range cases {
+		if c.compile {
+			rec := httptest.NewRecorder()
+			s.handleCompile(rec, httptest.NewRequest(http.MethodPost, "/compile", strings.NewReader(c.body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("POST /compile %s: %d %s", c.body, rec.Code, rec.Body)
+			}
+		}
 		rec := httptest.NewRecorder()
 		s.handleRun(rec, httptest.NewRequest(http.MethodPost, "/run", strings.NewReader(c.body)))
 		if got := strings.TrimSuffix(rec.Body.String(), "\n"); rec.Code != c.status || got != c.want {
@@ -64,13 +86,15 @@ func TestRunWireBytes(t *testing.T) {
 
 // TestStatsMetricsGolden pins the bytes of /stats and /metrics after a
 // fixed script against testdata/stats.golden and metrics.golden. The
-// script covers singletons on three engines, a cache hit, a quickened
-// program, a batch with one failing input, a limit error, a compile
-// error, an unknown engine and a /compile hit, so a counter that moves,
-// drops out or is counted twice shows here. Only what depends on
-// timing or on the rest of the process is masked: latency bucket
-// counts (their +Inf totals stay) and the compiled engine's
-// process-wide counters.
+// script covers singletons on three engines, a cache hit, a program
+// compiled before its run (quickened and optimized), a batch with one
+// failing input, a limit error, a compile error, an unknown engine, a
+// program run past artifact.PromoteSteps and then promoted, and a
+// /compile that promotes a resident base unit, so a counter that
+// moves, drops out or is counted twice shows here. Only what depends
+// on timing or on the rest of the process is masked: latency bucket
+// counts (their +Inf totals stay), the latency sums and the compiled
+// engine's process-wide counters.
 func TestStatsMetricsGolden(t *testing.T) {
 	svc, err := service.New(service.Config{Workers: 1, Quicken: true, Optimize: true})
 	if err != nil {
@@ -85,11 +109,14 @@ func TestStatsMetricsGolden(t *testing.T) {
 		{"/run", `{"source": ": main 1 2 + . ;"}`, http.StatusOK},
 		{"/run", `{"source": ": main 1 2 + . ;", "engine": "static"}`, http.StatusOK},
 		{"/run", `{"source": ": main + . ;", "engine": "compiled", "args": [30, 12]}`, http.StatusOK},
+		{"/compile", `{"source": "variable x : main x @ x @ + . ;"}`, http.StatusOK},
 		{"/run", `{"source": "variable x : main x @ x @ + . ;", "engine": "switch"}`, http.StatusOK},
 		{"/run", `{"source": ": main / . ;", "engine": "static", "inputs": [{"args": [6, 2]}, {"args": [1, 0]}]}`, http.StatusOK},
 		{"/run", `{"source": ": main 0 begin 1 + dup 0 < until drop ;", "max_steps": 1000}`, http.StatusUnprocessableEntity},
 		{"/run", `{"source": ": main nosuchword ;"}`, http.StatusBadRequest},
 		{"/run", `{"source": ": main 1 ;", "engine": "nosuchengine"}`, http.StatusBadRequest},
+		{"/run", `{"source": "` + longSource + `"}`, http.StatusOK},
+		{"/run", `{"source": "` + longSource + `"}`, http.StatusOK},
 		{"/compile", `{"source": ": main + . ;"}`, http.StatusOK},
 	}
 	for _, step := range script {
@@ -116,10 +143,12 @@ func TestStatsMetricsGolden(t *testing.T) {
 	}{
 		{"stats.golden", stats.Body.String(), []*regexp.Regexp{
 			regexp.MustCompile(`"latency_buckets":\[[0-9,]*\]`),
+			regexp.MustCompile(`"latency_sum_ns":[0-9]+`),
 			regexp.MustCompile(`"compiled_(programs|proved)":[0-9]+`),
 		}},
 		{"metrics.golden", metrics.Body.String(), []*regexp.Regexp{
 			regexp.MustCompile(`(?m)^vmd_exec_latency_seconds_bucket\{engine="[a-z0-9]+",le="[0-9.e+-]+"\} [0-9]+$`),
+			regexp.MustCompile(`(?m)^vmd_exec_latency_seconds_sum\{engine="[a-z0-9]+"\} [0-9.e+-]+$`),
 			regexp.MustCompile(`(?m)^vmd_compiled_(programs|proved)_total [0-9]+$`),
 		}},
 	} {
@@ -137,9 +166,9 @@ func TestStatsMetricsGolden(t *testing.T) {
 	}
 }
 
-var digits = regexp.MustCompile(`[0-9]+`)
+var digits = regexp.MustCompile(`[0-9][0-9.e+-]*`)
 
-// maskDigits replaces each run of digits in a matched sample's value,
+// maskDigits replaces each number in a matched sample's value,
 // everything after its last ':', '[' or ' ', with "_".
 func maskDigits(m string) string {
 	i := strings.LastIndexAny(m, ":[ ") + 1

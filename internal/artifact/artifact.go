@@ -17,7 +17,11 @@
 //     (hash, policy fingerprint) with single-flight builds and an
 //     optional on-disk tier (Config.Dir) that serializes quickened
 //     bytecode and facts, checksum-verified on load, so a restarted
-//     daemon warm-starts without recompiling or re-analyzing.
+//     daemon warm-starts without recompiling or re-analyzing. A build
+//     is base (compile and prove) or full (base plus optimize,
+//     validate, quicken and persist); a base unit is promoted to the
+//     full build once it has run PromoteSteps source steps or a caller
+//     asks for the full unit.
 //   - Of: the identity view engines use at run time. Every unit a
 //     store publishes is registered by program pointer; Of(p) finds it
 //     without hashing, and interns a bare unit for programs that never
@@ -31,6 +35,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
+	"sync/atomic"
 
 	"stackcache/internal/vm"
 )
@@ -38,7 +43,8 @@ import (
 // Unit is one program and the artifacts staged from it. Key is the
 // store key ("" for bare identity-interned units); Prog is the program
 // every consumer must execute — already quickened when the owning
-// store quickens (Quickened/QuickenedOps record the rewrite).
+// store quickens and the unit is a full one (Quickened/QuickenedOps
+// record the rewrite).
 type Unit struct {
 	Key          string
 	Prog         *vm.Program
@@ -52,11 +58,31 @@ type Unit struct {
 	Optimized    bool
 	OptimizedOps [vm.NumOptPasses]int
 
+	// base is set on a base unit only (see Store.GetOrBuildBase): it
+	// serves the produced program, and a promotion resumes the
+	// pipeline from its Proof.
+	base *baseState
+
 	factsOnce sync.Once
 	facts     *vm.Facts
 
 	prepMu   sync.Mutex
 	prepared map[string]*prepEntry
+}
+
+// baseState is a base unit's Proof, its executed steps and its one
+// promotion.
+type baseState struct {
+	proof *vm.Proof
+	steps atomic.Int64
+
+	// claimed is the compare-and-swap that lets exactly one lookup run
+	// the promotion. done is closed once it has finished, after full
+	// (nil when the promotion failed) and err are set.
+	claimed atomic.Bool
+	done    chan struct{}
+	full    *Unit
+	err     error
 }
 
 type prepEntry struct {
@@ -73,6 +99,15 @@ const maxPreparedPerUnit = 32
 
 func newUnit(key string, p *vm.Program) *Unit {
 	return &Unit{Key: key, Prog: p}
+}
+
+// AddSteps records n instructions executed on the unit. Only a base
+// unit keeps the count, which decides its promotion; its program is the
+// produced one, so these are source steps.
+func (u *Unit) AddSteps(n int64) {
+	if u.base != nil {
+		u.base.steps.Add(n)
+	}
 }
 
 // Facts returns the unit's vm.Analyze result, computing it at most
@@ -164,10 +199,13 @@ func registerIdentity(u *Unit) {
 	identity.m[u.Prog] = u
 }
 
-// dropIdentity forgets an evicted unit's program pointer; a later Of
+// dropIdentity forgets an evicted or promoted unit's program pointer
+// unless another unit has been published under it since; a later Of
 // interns a fresh bare unit (recompute, never a stale artifact).
-func dropIdentity(p *vm.Program) {
+func dropIdentity(u *Unit) {
 	identity.Lock()
 	defer identity.Unlock()
-	delete(identity.m, p)
+	if identity.m[u.Prog] == u {
+		delete(identity.m, u.Prog)
+	}
 }

@@ -35,25 +35,35 @@ func newStore(cfg Config) *artifact.Store {
 }
 
 // lookup returns src's content address and its unit from the program
-// cache, building the unit on a miss; the store single-flights
-// concurrent builds, caches only programs that passed the verifier and
-// counts how each lookup was served. The service counts what the store
-// does not: failed lookups, and the quickened and optimized programs
-// among true source builds (a unit served from the disk tier was
-// counted by the process that built it).
-func (s *Service) lookup(src string) (key string, u *artifact.Unit, hit bool, err error) {
+// cache. With full unset (a /run), a miss makes a base build and a hit
+// serves the resident unit, promoting a base unit that has run
+// artifact.PromoteSteps source steps; with full set (a /compile), it
+// returns the full unit, building or promoting it. The store
+// single-flights concurrent builds, caches only programs that passed
+// the verifier and counts how each lookup was served. The service
+// counts what the store does not: failed lookups, and the quickened
+// and optimized programs among full builds from source and promotions
+// (a unit served from the disk tier was counted by the process that
+// built it).
+func (s *Service) lookup(src string, full bool) (key string, u *artifact.Unit, hit bool, err error) {
 	key = artifact.SourceHash(s.optKey, src)
-	u, outcome, err := s.store.GetOrBuild("src:"+key, func() (*vm.Program, error) {
+	produce := func() (*vm.Program, error) {
 		if s.onCompile != nil {
 			s.onCompile(src)
 		}
 		return forth.CompileWithOptions(src, s.cfg.CompileOptions)
-	})
+	}
+	var outcome artifact.Outcome
+	if full {
+		u, outcome, err = s.store.GetOrBuild("src:"+key, produce)
+	} else {
+		u, outcome, err = s.store.GetOrBuildBase("src:"+key, produce)
+	}
 	switch {
 	case err != nil:
 		s.count(func(m *Snapshot) { m.CacheMisses++ })
 		return key, nil, false, err
-	case outcome == artifact.Miss && (u.Quickened || u.Optimized):
+	case (outcome == artifact.Miss || outcome == artifact.Promoted) && (u.Quickened || u.Optimized):
 		s.count(func(m *Snapshot) {
 			if u.Quickened {
 				m.QuickenedPrograms++
@@ -67,5 +77,5 @@ func (s *Service) lookup(src string) (key string, u *artifact.Unit, hit bool, er
 			}
 		})
 	}
-	return key, u, outcome == artifact.MemoryHit || outcome == artifact.Coalesced, nil
+	return key, u, outcome != artifact.Miss && outcome != artifact.DiskHit, nil
 }

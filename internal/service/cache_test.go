@@ -41,11 +41,11 @@ func compile(t *testing.T, s *Service, src string) bool {
 func TestCacheHitMiss(t *testing.T) {
 	s := cacheService(t, 8)
 
-	k1, u1, hit, err := s.lookup(srcN(1))
+	k1, u1, hit, err := s.lookup(srcN(1), false)
 	if err != nil || hit {
 		t.Fatalf("first lookup: hit %v err %v", hit, err)
 	}
-	k2, u2, hit, err := s.lookup(srcN(1))
+	k2, u2, hit, err := s.lookup(srcN(1), false)
 	if err != nil || !hit {
 		t.Fatalf("second lookup: hit %v err %v", hit, err)
 	}
@@ -181,11 +181,12 @@ func TestCacheFailedCompileNotCached(t *testing.T) {
 	}
 }
 
-// TestCacheIsTheArtifactStore runs A, B, A, C, A with a two-program
-// cache: C evicts B, the least recently used, and the last A is a hit
-// on the unit whose closures the compiled engine already lowered. The
+// TestCacheIsTheArtifactStore runs A, B, compiles A, runs A, C, A, B
+// with a two-program cache: the compile promotes A's base unit, C
+// evicts B, the least recently used, and the last A is a hit on the
+// full unit whose closures the compiled engine already lowered. The
 // service's cache counters are the store's, so they cannot disagree
-// about what was cached.
+// about what was cached, and the promotion is none of them.
 func TestCacheIsTheArtifactStore(t *testing.T) {
 	s := cacheService(t, 2)
 	run := func(src string) *Response {
@@ -199,11 +200,14 @@ func TestCacheIsTheArtifactStore(t *testing.T) {
 	a, b, c := srcN(201), srcN(202), srcN(203)
 	run(a)
 	run(b)
+	if !compile(t, s, a) {
+		t.Error("compiling the resident A was not a hit")
+	}
 	run(a)
 	run(c)
 	before, _ := compiled.Counters()
 	if !run(a).CacheHit {
-		t.Error("A was not a hit after A, B, A, C")
+		t.Error("A was not a hit after A, B, compile A, A, C")
 	}
 	if after, _ := compiled.Counters(); after != before {
 		t.Errorf("the last run of A lowered %d programs, want 0", after-before)
@@ -220,9 +224,9 @@ func TestCacheIsTheArtifactStore(t *testing.T) {
 		t.Errorf("service misses %d evictions %d, store misses %d evictions %d",
 			st.CacheMisses, st.CacheEvictions, st.Artifact.Misses, st.Artifact.Evictions)
 	}
-	if st.CacheHits != 2 || st.CacheMisses != 4 || st.CacheEvictions != 2 {
-		t.Errorf("hits %d misses %d evictions %d, want 2/4/2",
-			st.CacheHits, st.CacheMisses, st.CacheEvictions)
+	if st.CacheHits != 2 || st.CacheMisses != 4 || st.CacheEvictions != 2 || st.Artifact.Promoted != 1 {
+		t.Errorf("hits %d misses %d evictions %d promoted %d, want 2/4/2/1",
+			st.CacheHits, st.CacheMisses, st.CacheEvictions, st.Artifact.Promoted)
 	}
 }
 

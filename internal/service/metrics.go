@@ -93,11 +93,14 @@ func BatchBucketBounds() [NumBatchBuckets]string {
 	return out
 }
 
-// EngineSnapshot is the exported per-engine view.
+// EngineSnapshot is the exported per-engine view. Latency is the
+// execution latency histogram and LatencySum the total of the
+// latencies it counts.
 type EngineSnapshot struct {
-	Requests int64                    `json:"requests"`
-	Steps    int64                    `json:"steps"`
-	Latency  [NumLatencyBuckets]int64 `json:"latency_buckets"`
+	Requests   int64                    `json:"requests"`
+	Steps      int64                    `json:"steps"`
+	Latency    [NumLatencyBuckets]int64 `json:"latency_buckets"`
+	LatencySum time.Duration            `json:"latency_sum_ns"`
 }
 
 // Snapshot is the service's metrics, each defined once here: the
@@ -114,9 +117,11 @@ type Snapshot struct {
 	// CacheHits counts lookups the program cache served from memory,
 	// CacheCoalesced those that joined another request's build, and
 	// CacheMisses those that built the program or loaded it from disk,
-	// failed builds included. CacheEvictions and CacheSize are the
-	// store's evictions and resident units. All but failed builds are
-	// read from the store (see Stats).
+	// failed builds included. A lookup that promoted a base unit is
+	// none of these; the store counts it as Artifact.Promoted.
+	// CacheEvictions and CacheSize are the store's evictions and
+	// resident units. All but failed builds are read from the store
+	// (see Stats).
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheCoalesced int64 `json:"cache_coalesced"`
@@ -129,19 +134,20 @@ type Snapshot struct {
 	AnalysisProved   int64 `json:"analysis_proved"`
 	AnalysisUnproven int64 `json:"analysis_unproven"`
 
-	// QuickenedPrograms counts cached programs the insert-time
-	// quickener rewrote to superinstruction form (at least one planted
-	// site); QuickenedOps is the total number of planted sites across
-	// them. Both stay 0 when quickening is disabled.
+	// QuickenedPrograms counts full builds, promotions included, whose
+	// quickener rewrote the program to superinstruction form (at least
+	// one planted site); QuickenedOps is the total number of planted
+	// sites across them. Both stay 0 when quickening is disabled.
 	QuickenedPrograms int64 `json:"quickened_programs"`
 	QuickenedOps      int64 `json:"quickened_ops"`
 
-	// OptimizedPrograms counts cached programs serving the static
-	// optimizer's rewrite (adopted only after the translation validator
-	// certified it); OptimizedOps breaks the rewritten or deleted
-	// instruction slots down by optimizer pass label. Every pass label
-	// is always present, zero or not, so the metric's label set is the
-	// pass set. Both stay 0 when optimization is disabled.
+	// OptimizedPrograms counts full builds, promotions included, that
+	// serve the static optimizer's rewrite (adopted only after the
+	// translation validator certified it); OptimizedOps breaks the
+	// rewritten or deleted instruction slots down by optimizer pass
+	// label. Every pass label is always present, zero or not, so the
+	// metric's label set is the pass set. Both stay 0 when
+	// optimization is disabled.
 	OptimizedPrograms int64            `json:"optimized_programs"`
 	OptimizedOps      map[string]int64 `json:"optimized_ops"`
 
@@ -165,9 +171,9 @@ type Snapshot struct {
 
 	// Artifact is the program cache's tier accounting, the artifact
 	// store's counters: how lookups were satisfied (memory / joined
-	// build / disk / built from source), corrupt disk entries
-	// recomputed, units persisted, and LRU evictions. Disk counters
-	// stay 0 without Config.CacheDir.
+	// build / disk / built from source / promoted), corrupt disk
+	// entries recomputed, units persisted, and LRU evictions. Disk
+	// counters stay 0 without Config.CacheDir.
 	Artifact artifact.Counters `json:"artifact"`
 
 	// Errors counts finished requests by class wire name, including
@@ -261,6 +267,7 @@ func (s *Service) observeExec(t *task, resp *Response, d time.Duration) {
 		e.Requests++
 		e.Steps += resp.Steps
 		e.Latency[expBucket(d.Microseconds(), NumLatencyBuckets)]++ // us < 2^b
+		e.LatencySum += d
 		m.Engines[name] = e
 		runs := int64(1)
 		if t.inputs != nil {

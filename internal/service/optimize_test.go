@@ -15,6 +15,7 @@ const optimizableSource = ": double dup + ; : main 21 double . ;"
 
 func TestOptimizePipeline(t *testing.T) {
 	s := mustService(t, func(c *Config) { c.Optimize = true })
+	compile(t, s, optimizableSource)
 
 	resp, err := s.Run(context.Background(), Request{Source: optimizableSource})
 	if err != nil {
@@ -83,6 +84,7 @@ func TestOptimizeDisabledByDefault(t *testing.T) {
 // series per optimizer pass, every pass label always present.
 func TestOptimizePrometheusPassLabels(t *testing.T) {
 	s := mustService(t, func(c *Config) { c.Optimize = true })
+	compile(t, s, optimizableSource)
 	if _, err := s.Run(context.Background(), Request{Source: optimizableSource}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +109,7 @@ func TestOptimizePrometheusPassLabels(t *testing.T) {
 
 func TestOptimizeBatchResponse(t *testing.T) {
 	s := mustService(t, func(c *Config) { c.Optimize = true })
+	compile(t, s, optimizableSource)
 	resp, err := s.Run(context.Background(), Request{
 		Source: optimizableSource,
 		Inputs: []Input{{}, {}},
@@ -146,6 +149,7 @@ func TestOptimizeObservablyEquivalent(t *testing.T) {
 	recursive := map[string]bool{"gray": true, "fib": true}
 
 	for _, w := range workloads.All() {
+		compile(t, opt, w.Source)
 		for _, e := range plain.Engines() {
 			req := Request{Source: w.Source, Engine: e}
 			a, err := plain.Run(context.Background(), req)
@@ -183,13 +187,14 @@ func TestOptimizeObservablyEquivalent(t *testing.T) {
 }
 
 // TestOptimizeBudgetSweep pins the step-accounting contract under step
-// budgets: the validator guarantees the rewrite takes no more steps
-// than the source program, so any budget sufficient for the source
-// program must be sufficient for the optimized one, and on success the
-// outputs are identical.
+// budgets, on the base build a never-seen program gets and on the full
+// build: the validator guarantees the rewrite takes no more steps than
+// the source program, so any budget sufficient for the source program
+// must be sufficient for the optimized one, and on success the outputs
+// are identical. Each budget runs on a fresh service, so the base build
+// is not promoted partway through the sweep.
 func TestOptimizeBudgetSweep(t *testing.T) {
 	plain := mustService(t)
-	opt := mustService(t, func(c *Config) { c.Optimize = true })
 
 	var w workloads.Workload
 	for _, cand := range workloads.All() {
@@ -202,39 +207,46 @@ func TestOptimizeBudgetSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	budgets := []int64{1, full.Steps / 64, full.Steps / 2, full.Steps - 1, full.Steps, full.Steps + 1}
-	for _, budget := range budgets {
-		if budget < 1 {
-			continue
-		}
-		req := Request{Source: w.Source, MaxSteps: budget}
-		a, errA := plain.Run(context.Background(), req)
-		b, errB := opt.Run(context.Background(), req)
-		if errA == nil {
-			if errB != nil {
-				t.Fatalf("budget %d: source fits but optimized fails: %v", budget, errB)
+	for _, build := range []string{"base", "full"} {
+		for _, budget := range budgets {
+			if budget < 1 {
+				continue
 			}
-			if a.Output != b.Output {
-				t.Errorf("budget %d: outputs diverge", budget)
+			opt := mustService(t, func(c *Config) { c.Optimize = true })
+			if build == "full" {
+				compile(t, opt, w.Source)
 			}
-			if b.Steps > a.Steps {
-				t.Errorf("budget %d: optimized steps %d > source steps %d", budget, b.Steps, a.Steps)
+			req := Request{Source: w.Source, MaxSteps: budget}
+			a, errA := plain.Run(context.Background(), req)
+			b, errB := opt.Run(context.Background(), req)
+			if errA == nil {
+				if errB != nil {
+					t.Fatalf("%s build, budget %d: source fits but optimized fails: %v", build, budget, errB)
+				}
+				if a.Output != b.Output {
+					t.Errorf("%s build, budget %d: outputs diverge", build, budget)
+				}
+				if b.Steps > a.Steps {
+					t.Errorf("%s build, budget %d: optimized steps %d > source steps %d", build, budget, b.Steps, a.Steps)
+				}
+			} else if Classify(errA) != ClassLimit {
+				t.Fatalf("%s build, budget %d: unexpected source error class %v", build, budget, Classify(errA))
 			}
-		} else if Classify(errA) != ClassLimit {
-			t.Fatalf("budget %d: unexpected source error class %v", budget, Classify(errA))
-		}
-		// When the source run hits the limit the optimized run may
-		// legitimately finish (it needs fewer steps) or hit the limit
-		// too; anything else is a contract violation.
-		if errA != nil && errB != nil && Classify(errB) != ClassLimit {
-			t.Errorf("budget %d: optimized error class %v, want limit", budget, Classify(errB))
-		}
-		if b != nil {
-			want := "optimized"
-			if !b.Optimized {
-				want = "source"
+			// When the source run hits the limit the optimized run may
+			// legitimately finish (it needs fewer steps) or hit the limit
+			// too; anything else is a contract violation.
+			if errA != nil && errB != nil && Classify(errB) != ClassLimit {
+				t.Errorf("%s build, budget %d: optimized error class %v, want limit", build, budget, Classify(errB))
 			}
-			if b.StepsAccounting != want {
-				t.Errorf("budget %d: accounting %q, want %q", budget, b.StepsAccounting, want)
+			if b != nil {
+				want := "source"
+				if build == "full" {
+					want = "optimized"
+				}
+				if b.Optimized != (build == "full") || b.StepsAccounting != want {
+					t.Errorf("%s build, budget %d: optimized %t accounting %q, want accounting %q",
+						build, budget, b.Optimized, b.StepsAccounting, want)
+				}
 			}
 		}
 	}
@@ -246,8 +258,9 @@ func TestOptimizeBudgetSweep(t *testing.T) {
 func TestOptimizeCacheDirSeparation(t *testing.T) {
 	dir := t.TempDir()
 	on := mustService(t, func(c *Config) { c.Optimize = true; c.CacheDir = dir })
-	if _, err := on.Run(context.Background(), Request{Source: optimizableSource}); err != nil {
-		t.Fatal(err)
+	compile(t, on, optimizableSource) // only the full build is persisted
+	if st := on.Stats(); st.Artifact.Persisted != 1 {
+		t.Fatalf("optimize=true service persisted %d units, want 1", st.Artifact.Persisted)
 	}
 	on.Close()
 

@@ -18,7 +18,7 @@ import (
 // Conventions: every metric is prefixed vmd_; counters end in _total;
 // the per-engine latency histogram follows the native histogram-as-
 // cumulative-buckets encoding (vmd_exec_latency_seconds_bucket with an
-// le label, plus _count; no _sum, which the snapshot does not track).
+// le label, plus _sum and _count).
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -59,7 +59,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	counter("vmd_requests_total", "Requests received, including rejects.", s.Requests)
 	counter("vmd_completed_total", "Requests finished, any class.", s.Completed)
 	counter("vmd_cache_hits_total", "Program cache hits.", s.CacheHits)
-	counter("vmd_cache_misses_total", "Program cache misses (compiles).", s.CacheMisses)
+	counter("vmd_cache_misses_total", "Program cache lookups that built the program from source, loaded it from the disk tier, or failed to compile.", s.CacheMisses)
 	counter("vmd_cache_coalesced_total", "Lookups that joined an in-flight compile.", s.CacheCoalesced)
 	counter("vmd_cache_evictions_total", "Programs evicted from the cache.", s.CacheEvictions)
 	family("vmd_cache_size", "gauge", "Programs currently cached.")
@@ -69,10 +69,10 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	p("vmd_analysis_total{outcome=\"proved\"} %d\n", s.AnalysisProved)
 	p("vmd_analysis_total{outcome=\"unproven\"} %d\n", s.AnalysisUnproven)
 
-	counter("vmd_quickened_programs_total", "Cached programs rewritten to superinstruction form at insert time.", s.QuickenedPrograms)
+	counter("vmd_quickened_programs_total", "Full builds, promotions included, that rewrote the program to superinstruction form.", s.QuickenedPrograms)
 	counter("vmd_quickened_ops_total", "Superinstruction sites planted across quickened programs.", s.QuickenedOps)
 
-	counter("vmd_optimized_programs_total", "Cached programs serving a validator-certified optimizer rewrite.", s.OptimizedPrograms)
+	counter("vmd_optimized_programs_total", "Full builds, promotions included, that serve a validator-certified optimizer rewrite.", s.OptimizedPrograms)
 	family("vmd_optimized_ops_total", "counter", "Instruction slots rewritten or deleted per optimizer pass across optimized programs.")
 	// Declaration order, every pass label always present: the label set
 	// IS the optimizer's pass set, which the lint suite pins.
@@ -83,13 +83,14 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	counter("vmd_compiled_programs_total", "Programs lowered to AOT closure artifacts by the compiled engine.", s.CompiledPrograms)
 	counter("vmd_compiled_proved_total", "AOT artifacts carrying a proof-elided code variant.", s.CompiledProved)
 
-	family("vmd_artifact_total", "counter", "Artifact-store events by pipeline stage and outcome.")
+	family("vmd_artifact_total", "counter", "Artifact-store events by pipeline stage and outcome; a promoted unit is a base unit given the full build, not a hit, miss or eviction.")
 	p("vmd_artifact_total{stage=\"unit\",outcome=\"memory_hit\"} %d\n", s.Artifact.MemoryHits)
 	p("vmd_artifact_total{stage=\"unit\",outcome=\"disk_hit\"} %d\n", s.Artifact.DiskHits)
 	p("vmd_artifact_total{stage=\"unit\",outcome=\"miss\"} %d\n", s.Artifact.Misses)
 	p("vmd_artifact_total{stage=\"unit\",outcome=\"coalesced\"} %d\n", s.Artifact.Coalesced)
 	p("vmd_artifact_total{stage=\"unit\",outcome=\"corrupt_recomputed\"} %d\n", s.Artifact.CorruptRecomputed)
 	p("vmd_artifact_total{stage=\"unit\",outcome=\"evicted\"} %d\n", s.Artifact.Evictions)
+	p("vmd_artifact_total{stage=\"unit\",outcome=\"promoted\"} %d\n", s.Artifact.Promoted)
 	p("vmd_artifact_total{stage=\"persist\",outcome=\"ok\"} %d\n", s.Artifact.Persisted)
 	p("vmd_artifact_total{stage=\"persist\",outcome=\"error\"} %d\n", s.Artifact.PersistErrors)
 	p("vmd_artifact_total{stage=\"optimize\",outcome=\"refused\"} %d\n", s.Artifact.OptimizeRefused)
@@ -121,6 +122,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		n := histogram("vmd_exec_latency_seconds", fmt.Sprintf("engine=%q,", e), es.Latency[:], func(i int) string {
 			return strconv.FormatFloat(float64(int64(1)<<i)/1e6, 'g', -1, 64)
 		})
+		p("vmd_exec_latency_seconds_sum{engine=%q} %s\n", e, strconv.FormatFloat(es.LatencySum.Seconds(), 'g', -1, 64))
 		p("vmd_exec_latency_seconds_count{engine=%q} %d\n", e, n)
 	}
 	return err

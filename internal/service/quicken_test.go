@@ -14,6 +14,8 @@ const quickenableSource = "variable x : main x @ x @ + . ;"
 
 func TestQuickenPipeline(t *testing.T) {
 	s := mustService(t, func(c *Config) { c.Quicken = true })
+	compile(t, s, quickenableSource)
+	compile(t, s, addSource)
 
 	resp, err := s.Run(context.Background(), Request{Source: quickenableSource})
 	if err != nil {
@@ -89,6 +91,7 @@ func TestQuickenObservablyEquivalent(t *testing.T) {
 	quick := mustService(t, func(c *Config) { c.Quicken = true })
 
 	for _, w := range workloads.All() {
+		compile(t, quick, w.Source)
 		for _, e := range plain.Engines() {
 			req := Request{Source: w.Source, Engine: e}
 			a, err := plain.Run(context.Background(), req)

@@ -9,7 +9,10 @@
 //     SHA-256 of compile options + Forth source. The store owns the
 //     cache policy (bounded LRU, single-flight builds, the optional
 //     disk tier), so N concurrent requests for the same source trigger
-//     exactly one compile and only verified programs are ever cached;
+//     exactly one compile and only verified programs are ever cached.
+//     Run gives a never-seen program the store's base build; Compile,
+//     or artifact.PromoteSteps executed source steps, gives it the
+//     full build;
 //   - the engine registry (internal/engine): requests select an engine
 //     by wire name, and every engine the registry knows — baselines,
 //     dynamic and static stack caching, the generated per-state
@@ -97,31 +100,36 @@ type Config struct {
 	// entering the cache (options are part of the cache key).
 	CompileOptions forth.Options
 
-	// Quicken enables cache-time quickening: programs entering the
-	// cache are rewritten to superinstruction form (vm.Quicken) and
-	// re-verified, so every execution of the program — on any engine —
-	// runs the fused bytecode. Observable behavior is unchanged: a
-	// superinstruction counts one step per constituent and reports its
-	// first constituent's errors, so quickened and unquickened runs
-	// agree on output, stack, step counts and error class at every
-	// budget. Off by default.
+	// Quicken enables cache-time quickening in the full build: a
+	// program compiled through Compile, or promoted after running
+	// artifact.PromoteSteps source steps, is rewritten to
+	// superinstruction form (vm.Quicken) and re-verified, so every
+	// later execution of the program — on any engine — runs the fused
+	// bytecode. A program Run meets first gets a base build, which
+	// neither quickens nor optimizes. Observable behavior is
+	// unchanged: a superinstruction counts one step per constituent
+	// and reports its first constituent's errors, so quickened and
+	// unquickened runs agree on output, stack, step counts and error
+	// class at every budget. Off by default.
 	Quicken bool
 
-	// Optimize enables cache-time optimization: programs entering the
-	// cache are run through the static optimizer (vm.Optimize) and the
-	// rewrite is adopted only when the independent translation
-	// validator (vm.CheckTranslation) proves it observably equivalent
-	// to the compiled source program — same output bytes, final stack,
+	// Optimize enables cache-time optimization in the full build (see
+	// Quicken for which programs get one): the program is run through
+	// the static optimizer (vm.Optimize) and the rewrite is adopted
+	// only when the independent translation validator
+	// (vm.CheckTranslation) proves it observably equivalent to the
+	// compiled source program — same output bytes, final stack,
 	// memory writes and error class at every budget, in no more steps.
 	// A refused rewrite is counted and the unoptimized program is
 	// served. Off by default.
 	Optimize bool
 
 	// CacheDir, when non-empty, enables the artifact store's on-disk
-	// tier: every compiled program's unit (quickened bytecode +
-	// analysis facts, checksummed) is persisted there, and a restarted
-	// service warm-starts from it without recompiling, re-verifying or
-	// re-analyzing previously-seen programs. Entries are keyed by
+	// tier: every full unit (quickened bytecode + analysis facts,
+	// checksummed) is persisted there, and a restarted service
+	// warm-starts from it without recompiling, re-verifying or
+	// re-analyzing previously-seen programs. Base units are never
+	// persisted. Entries are keyed by
 	// (source hash, policy fingerprint), so a directory can be shared
 	// across services only when their compile options and quicken and
 	// optimize settings agree; corrupt files are deleted and
@@ -228,7 +236,9 @@ type Response struct {
 	Steps int64 `json:"steps"`
 
 	// CacheHit reports whether the program was served from the cache
-	// (including coalescing onto another request's in-flight compile).
+	// (including coalescing onto another request's in-flight compile,
+	// and a lookup that promoted the cached base build to the full
+	// build).
 	CacheHit bool `json:"cache_hit"`
 
 	// Analysis reports the abstract interpreter's verdict for the
@@ -431,10 +441,12 @@ func (s *Service) Close() {
 
 // Compile compiles (or finds) src in the program cache without
 // executing it, returning its content address — the warm-up/pre-flight
-// API behind vmd's /compile endpoint.
+// API behind vmd's /compile endpoint. It asks for the full build, and
+// promotes a resident base unit: calling Compile is how a client says
+// the program will be reused.
 func (s *Service) Compile(src string) (key string, cacheHit bool, err error) {
 	s.count(func(m *Snapshot) { m.Requests++ })
-	key, _, hit, err := s.lookup(src)
+	key, _, hit, err := s.lookup(src, true)
 	if err != nil {
 		s.observeDone(ClassCompile)
 		return "", false, classified(ClassCompile, err)
@@ -504,7 +516,7 @@ func (s *Service) Run(ctx context.Context, req Request) (*Response, error) {
 	// Compile (or join an in-flight compile) before queueing, so the
 	// bounded queue holds only ready-to-run work and compile storms
 	// dedup at the cache, not in the pool.
-	key, u, hit, err := s.lookup(req.Source)
+	key, u, hit, err := s.lookup(req.Source, false)
 	if err != nil {
 		return s.fail(ClassCompile, err)
 	}
@@ -620,6 +632,9 @@ func (s *Service) worker() {
 			resp, err = s.execute(t)
 		}
 		s.observeExec(t, resp, time.Since(start))
+		// Before the result is delivered, so the client's next lookup
+		// sees these steps and the promotion point repeats.
+		t.unit.AddSteps(resp.Steps)
 		if err != nil {
 			err = toError(err)
 		}

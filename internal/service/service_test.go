@@ -171,9 +171,11 @@ func TestConcurrentMixedEngines(t *testing.T) {
 			snap.CacheMisses, len(sources))
 	}
 	// How many of the other lookups joined an in-flight compile rather
-	// than hitting depends on scheduling; together they are exact.
-	if got := snap.CacheHits + snap.CacheCoalesced; got != int64(total-len(sources)) {
-		t.Errorf("hits+coalesced %d, want %d", got, total-len(sources))
+	// than hitting depends on scheduling, and so does which of them
+	// promoted the spin program once its runs passed
+	// artifact.PromoteSteps; together they are exact.
+	if got := snap.CacheHits + snap.CacheCoalesced + snap.Artifact.Promoted; got != int64(total-len(sources)) {
+		t.Errorf("hits+coalesced+promoted %d, want %d", got, total-len(sources))
 	}
 	wantOK := int64(perPair * (len(sources) - 1) * len(s.Engines()))
 	if snap.Errors["ok"] != wantOK {
@@ -195,11 +197,18 @@ func TestConcurrentMixedEngines(t *testing.T) {
 	}
 
 	// Once the first wave has finished, every program is cached: a
-	// second concurrent wave must be all hits, however it is scheduled.
+	// second concurrent wave must be all hits, however it is scheduled,
+	// but for the lookup that promotes the spin program if no lookup
+	// of the first wave did. Its 33 runs of 10,000 steps passed
+	// artifact.PromoteSteps, so by now it has been promoted once.
 	second := wave(1)
 	after := s.Stats()
-	if got := after.CacheHits - snap.CacheHits; got != int64(second) {
-		t.Errorf("second wave: %d hits, want %d", got, second)
+	promoted := after.Artifact.Promoted - snap.Artifact.Promoted
+	if got := after.CacheHits - snap.CacheHits; got+promoted != int64(second) {
+		t.Errorf("second wave: %d hits and %d promotions, want %d lookups", got, promoted, second)
+	}
+	if after.Artifact.Promoted != 1 {
+		t.Errorf("%d promotions, want 1 (the spin program)", after.Artifact.Promoted)
 	}
 	if after.CacheMisses != snap.CacheMisses || after.CacheCoalesced != snap.CacheCoalesced {
 		t.Errorf("second wave: misses %d -> %d, coalesced %d -> %d, want both unchanged",

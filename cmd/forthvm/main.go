@@ -98,16 +98,14 @@ func main() {
 	// Compile through the shared artifact pipeline: verify gate,
 	// optional validated optimization, optional quickening
 	// (re-verified), analysis facts — and, with -cachedir, the on-disk
-	// tier. The fingerprint matches the one vmd's service uses, so the
-	// two CLIs can share a cache directory when their compile options
-	// and -quicken and -optimize settings agree.
+	// tier. The store's default fingerprint is the one vmd's service
+	// uses, so the two CLIs can share a cache directory when their
+	// compile options and -quicken and -optimize settings agree.
 	opts := forth.Options{Superinstructions: *super}
 	store := artifact.NewStore(artifact.Config{
 		Dir:      *cacheDir,
 		Quicken:  *quicken,
 		Optimize: *optimize,
-		Fingerprint: "quicken=" + strconv.FormatBool(*quicken) +
-			",optimize=" + strconv.FormatBool(*optimize),
 	})
 	unit, outcome, err := store.GetOrBuild(
 		"src:"+artifact.SourceHash(opts.CacheKey(), src),

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"container/list"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -63,7 +64,8 @@ type Config struct {
 	// Fingerprint is the policy fingerprint folded into every key.
 	// Two stores with different fingerprints never share entries, in
 	// memory or on disk — a -quicken=false restart must not serve
-	// quickened units.
+	// quickened units. Empty means the one Quicken and Optimize
+	// determine, "quicken=<bool>,optimize=<bool>".
 	Fingerprint string
 }
 
@@ -140,6 +142,10 @@ func NewStore(cfg Config) *Store {
 	if cfg.MaxUnits < 1 {
 		cfg.MaxUnits = 512
 	}
+	if cfg.Fingerprint == "" {
+		cfg.Fingerprint = "quicken=" + strconv.FormatBool(cfg.Quicken) +
+			",optimize=" + strconv.FormatBool(cfg.Optimize)
+	}
 	if cfg.Dir != "" {
 		ensureDir(cfg.Dir)
 	}
@@ -195,10 +201,7 @@ func (s *Store) GetOrBuildBase(hash string, produce func() (*vm.Program, error))
 }
 
 func (s *Store) get(hash string, produce func() (*vm.Program, error), full bool) (*Unit, Outcome, error) {
-	key := hash
-	if s.cfg.Fingerprint != "" {
-		key = hash + "|" + s.cfg.Fingerprint
-	}
+	key := hash + "|" + s.cfg.Fingerprint
 
 	s.mu.Lock()
 	if el, ok := s.byKey[key]; ok {
@@ -225,22 +228,14 @@ func (s *Store) get(hash string, produce func() (*vm.Program, error), full bool)
 	s.mu.Lock()
 	delete(s.inflight, key)
 	if fl.err == nil {
-		if el, ok := s.byKey[key]; ok {
-			// A concurrent path published first (possible only across
-			// fingerprint-sharing stores reopening the same dir);
-			// prefer the resident unit so identity stays unique.
-			s.lru.MoveToFront(el)
-			fl.unit = el.Value.(*Unit)
-		} else {
-			s.byKey[key] = s.lru.PushFront(fl.unit)
-			for s.lru.Len() > s.cfg.MaxUnits {
-				back := s.lru.Back()
-				u := back.Value.(*Unit)
-				s.lru.Remove(back)
-				delete(s.byKey, u.Key)
-				evicted = append(evicted, u)
-				s.evictions.Add(1)
-			}
+		s.byKey[key] = s.lru.PushFront(fl.unit)
+		for s.lru.Len() > s.cfg.MaxUnits {
+			back := s.lru.Back()
+			u := back.Value.(*Unit)
+			s.lru.Remove(back)
+			delete(s.byKey, u.Key)
+			evicted = append(evicted, u)
+			s.evictions.Add(1)
 		}
 	}
 	s.mu.Unlock()

@@ -304,6 +304,18 @@ func TestStoreFingerprintIsolation(t *testing.T) {
 	}
 }
 
+// TestStoreDefaultFingerprint: a store given no Fingerprint keys its
+// units by "quicken=<bool>,optimize=<bool>", the string vmd and
+// forthvm wrote themselves before the store derived it, so their
+// cache directories stay valid.
+func TestStoreDefaultFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	mustGet(t, NewStore(Config{Dir: dir, Quicken: true, Fingerprint: "quicken=true,optimize=false"}), "k", produceSrc(t, quickSrc))
+	if u, out := mustGet(t, NewStore(Config{Dir: dir, Quicken: true}), "k", produceSrc(t, quickSrc)); out != DiskHit || !u.Quickened {
+		t.Errorf("outcome=%v quickened=%v, want disk_hit/true", out, u.Quickened)
+	}
+}
+
 func TestUnitPrepared(t *testing.T) {
 	p, err := forth.CompileWithOptions(plainSrc, forth.Options{})
 	if err != nil {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"stackcache/internal/vm"
-)
+import "fmt"
 
 // RotatingPolicy is the overflow-move-optimized organization of §3.3
 // (Figs. 15/16, the "overflow move opt." row of Fig. 18): instead of
@@ -105,28 +101,4 @@ func (p RotatingPolicy) StepManip(c, in int, m []int) Transition {
 	}
 	tr.Moves = moves
 	return tr
-}
-
-// BuildRotatingTable precomputes per-(count, opcode) transitions like
-// BuildTable does for the minimal organization. The base rotation does
-// not affect costs, so the table is again indexed by count only even
-// though the organization has n²+1 states.
-func BuildRotatingTable(pol RotatingPolicy) (*TransitionTable, error) {
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
-	t := &TransitionTable{Rows: make([][]Transition, pol.NRegs+1)}
-	for c := 0; c <= pol.NRegs; c++ {
-		row := make([]Transition, vm.NumOpcodes)
-		for op := vm.Opcode(0); op < vm.NumOpcodes; op++ {
-			eff := vm.EffectOf(op)
-			if eff.IsManip() {
-				row[op] = pol.StepManip(c, eff.In, eff.Map)
-			} else {
-				row[op] = pol.Step(c, eff.In, eff.Out)
-			}
-		}
-		t.Rows[c] = row
-	}
-	return t, nil
 }

@@ -2,28 +2,38 @@ package core
 
 import "stackcache/internal/vm"
 
+// Policy is a one-stack organization's transition function: the
+// minimal organization or the rotating one. Both have the same fields,
+// so a table's row count is MinimalPolicy(pol).NRegs+1 for either.
+type Policy interface {
+	MinimalPolicy | RotatingPolicy
+	Validate() error
+	Step(c, in, out int) Transition
+	StepManip(c, in int, m []int) Transition
+}
+
 // TransitionTable precomputes, for every (cache state, opcode) pair,
-// the transition of a MinimalPolicy. This is the software analog of
-// the paper's dynamic-caching implementation: "there is a copy of the
+// the transition of a Policy. This is the software analog of the
+// paper's dynamic-caching implementation: "there is a copy of the
 // whole interpreter for every cache state" — each row of the table is
 // one such copy, and dispatching on (state, opcode) replaces the
 // per-instruction transition computation. The dyncache engine uses it
 // on the hot path; tests verify it against the Step/StepManip
 // functions it is built from.
 type TransitionTable struct {
-	Policy MinimalPolicy
 	// Rows[c][op] is the transition for executing op with c items
 	// cached, c in 0..NRegs.
 	Rows [][]Transition
 }
 
 // BuildTable precomputes all transitions for the policy.
-func BuildTable(pol MinimalPolicy) (*TransitionTable, error) {
+func BuildTable[P Policy](pol P) (*TransitionTable, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
-	t := &TransitionTable{Rows: make([][]Transition, pol.NRegs+1)}
-	for c := 0; c <= pol.NRegs; c++ {
+	n := MinimalPolicy(pol).NRegs
+	t := &TransitionTable{Rows: make([][]Transition, n+1)}
+	for c := 0; c <= n; c++ {
 		row := make([]Transition, vm.NumOpcodes)
 		for op := vm.Opcode(0); op < vm.NumOpcodes; op++ {
 			eff := vm.EffectOf(op)

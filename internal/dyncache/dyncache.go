@@ -1,17 +1,40 @@
 // Package dyncache implements dynamic stack caching (paper §4): the
 // interpreter keeps track of the cache state, holding the top cache
-// depth items of the data stack in a register file. The organization
-// is the minimal one (§3.2) — one state per number of cached items,
-// bottom-anchored — with the §3.1 stack-pointer-update elimination and
-// a configurable overflow followup state (§3.3), exactly the design
-// space the paper's Fig. 22/23 sweeps explore.
+// depth items of the data stack in a register file.
 //
 // In the paper the cache state selects one of several copies of the
 // whole interpreter and the real-machine program counter encodes the
-// state; Go cannot replicate an interpreter per state, so here the
-// state is an explicit variable and the costs the replication would
-// save or incur are accounted through core.Counters with the paper's
-// cost model. Semantics are delegated to interp.Apply, so results are
+// state. §3.3 (overflow move optimization) and §3.4 (two stacks)
+// change only the state machine, the organization, and leave the
+// interpreter alone. Here the same holds: there is one interpreter
+// loop (Org.Run), and an organization is its transition tables, built
+// once by New or NewTwoStacks. Each row of a core.TransitionTable
+// plays the part of one interpreter copy. Go cannot replicate an
+// interpreter per state, so the state is an explicit variable and the
+// costs the replication would save or incur are accounted through
+// core.Counters with the paper's cost model.
+//
+// Three organizations run on the loop:
+//
+//   - minimal (§3.2, core.MinimalPolicy): one state per number of
+//     cached items, bottom-anchored, with the §3.1 stack-pointer-update
+//     elimination and a configurable overflow followup state (§3.3),
+//     the design space of the paper's Fig. 22/23 sweeps;
+//   - rotating (§3.3, core.RotatingPolicy): the overflow-move-optimized
+//     organization. Its register ring is not modelled, because no cost
+//     depends on which register holds an item: the table prices every
+//     step;
+//   - two stacks (§3.4, TwoStackPolicy): up to RMax return-stack items
+//     share the register file, with one minimal table per cached
+//     return depth.
+//
+// The loop runs the return-stack model for every organization; the
+// one-stack organizations cache no return-stack items, so their
+// RCounters count every return-stack access. It fills the rise
+// histogram for all three organizations, two stacks included, though
+// nothing reads the two-stack one.
+//
+// Semantics are delegated to interp.Apply, so results are
 // bit-identical to the baseline interpreters — the engine's tests
 // verify that on every workload.
 package dyncache
@@ -29,9 +52,13 @@ type Result struct {
 	// Snapshot is directly comparable with a baseline run.
 	Machine *interp.Machine
 
-	// Counters is the argument-access cost of the run under the
+	// Counters is the data stack's argument-access cost under the
 	// paper's model.
 	Counters core.Counters
+
+	// RCounters is the return stack's own cost (the paper's Fig. 20
+	// keeps the two stacks' traffic separate).
+	RCounters core.Counters
 
 	// RiseAfterOverflow[k] counts overflow events after which the
 	// cache depth rose at most k items above the overflow followup
@@ -41,30 +68,62 @@ type Result struct {
 	RiseAfterOverflow map[int]int64
 }
 
-// Run executes p under dynamic stack caching with the given policy.
-// Budgets and program inputs come through the machine: callers needing
-// them configure a machine with interp.ExecSpec and use RunOn.
-func Run(p *vm.Program, pol core.MinimalPolicy) (*Result, error) {
-	return RunOn(interp.NewMachine(p), pol)
+// Org is one organization's state machine: tables[r] prices each
+// instruction with r return-stack items cached. The one-stack
+// organizations have only tables[0]. An Org is never written after
+// construction, so concurrent Runs share it.
+type Org struct {
+	tables []*core.TransitionTable
 }
 
-// RunOn executes the machine's current program under dynamic stack
-// caching without allocating a new machine; the step budget is the
-// machine's MaxSteps. The pooled-execution service layer rebinds a
-// recycled machine (interp.Machine.Rebind) and calls this.
-func RunOn(m *interp.Machine, pol core.MinimalPolicy) (*Result, error) {
-	table, err := core.BuildTable(pol)
+// New returns the one-stack organization of pol, the minimal or the
+// rotating one.
+func New[P core.Policy](pol P) (*Org, error) {
+	t, err := core.BuildTable(pol)
 	if err != nil {
 		return nil, err
 	}
-	p := m.Prog
-	res := &Result{Machine: m, RiseAfterOverflow: make(map[int]int64)}
+	return &Org{tables: []*core.TransitionTable{t}}, nil
+}
 
-	regs := make([]vm.Cell, pol.NRegs)
-	c := 0 // cached items; regs[0..c-1], bottom-anchored
+// Run executes p under dynamic stack caching with the minimal
+// organization. Budgets and program inputs come through the machine:
+// callers needing them configure a machine with interp.ExecSpec and
+// use Org.Run.
+func Run(p *vm.Program, pol core.MinimalPolicy) (*Result, error) {
+	o, err := New(pol)
+	if err != nil {
+		return nil, err
+	}
+	return o.Run(interp.NewMachine(p))
+}
+
+// RunRotating executes p under the overflow-move-optimized
+// organization of §3.3 (core.RotatingPolicy).
+func RunRotating(p *vm.Program, pol core.RotatingPolicy) (*Result, error) {
+	o, err := New(pol)
+	if err != nil {
+		return nil, err
+	}
+	return o.Run(interp.NewMachine(p))
+}
+
+// Run executes the machine's current program under the organization
+// without allocating a new machine; the step budget is the machine's
+// MaxSteps. The pooled-execution service layer rebinds a recycled
+// machine (interp.Machine.Rebind) and calls this through the engine
+// registry. The Result is never nil.
+func (o *Org) Run(m *interp.Machine) (*Result, error) {
+	res := &Result{Machine: m, RiseAfterOverflow: make(map[int]int64)}
+	nregs := o.tables[0].States() - 1
+	rmax := len(o.tables) - 1
+
+	buf := make([]vm.Cell, 2*nregs+vm.MaxOut)
+	regs, conceptual := buf[:nregs], buf[nregs:]
+	c := 0 // cached data items; regs[0..c-1], bottom-anchored
+	r := 0 // cached return items (model only; values live in m.RSt)
 
 	var args, outs [8]vm.Cell
-	conceptual := make([]vm.Cell, pol.NRegs+vm.MaxOut)
 
 	// Rise tracking for the random-walk analysis.
 	riseActive := false
@@ -76,7 +135,7 @@ func RunOn(m *interp.Machine, pol core.MinimalPolicy) (*Result, error) {
 		}
 	}
 
-	code := p.Code
+	code := m.Prog.Code
 	limit := int64(interp.DefaultMaxSteps)
 	if m.MaxSteps > 0 {
 		limit = m.MaxSteps
@@ -117,15 +176,40 @@ func RunOn(m *interp.Machine, pol core.MinimalPolicy) (*Result, error) {
 			flush()
 			return res, failAt(m, "invalid opcode")
 		}
-		eff := vm.EffectOf(ins.Op)
+		eff := &effects[ins.Op]
 		m.Steps++
 		res.Counters.Instructions++
 		res.Counters.Dispatches++
 
+		// Return-stack cache model: pops then pushes, capped at rmax
+		// and at the registers the data cache leaves free.
+		if eff.RIn > 0 || eff.ROut > 0 {
+			rTraffic := false
+			if eff.RIn > r {
+				res.RCounters.Loads += int64(eff.RIn - r)
+				r = 0
+				rTraffic = true
+			} else {
+				r -= eff.RIn
+			}
+			r += eff.ROut
+			if rCap := min(rmax, nregs-c); r > rCap {
+				res.RCounters.Stores += int64(r - rCap)
+				r = rCap
+				rTraffic = true
+			}
+			if rTraffic {
+				res.RCounters.Updates++
+			}
+			res.RCounters.Instructions++
+		}
+
 		// The (state × opcode) table lookup is the software analog of
 		// the paper's jump into the interpreter copy for the current
-		// cache state.
-		tr := table.Lookup(c, ins.Op)
+		// cache state. c ≤ nregs-r holds here: the return model above
+		// leaves the data cache its c items. The transition is read in
+		// place, not copied.
+		tr := &o.tables[r].Rows[c][ins.Op]
 		res.Counters.Loads += int64(tr.Loads)
 		res.Counters.Stores += int64(tr.Stores)
 		res.Counters.Moves += int64(tr.Moves)
@@ -143,21 +227,23 @@ func RunOn(m *interp.Machine, pol core.MinimalPolicy) (*Result, error) {
 
 		// Mechanics: gather arguments (deepest from memory on
 		// underflow), apply semantics, place results (spilling the
-		// deepest items on overflow).
-		fromRegs := eff.In
-		fromMem := 0
+		// deepest items on overflow). The few cells a step moves
+		// between registers are copied in loops: a copy call per step
+		// costs more than the moves.
+		fromRegs, fromMem := eff.In, 0
 		if fromRegs > c {
-			fromMem = fromRegs - c
-			fromRegs = c
+			fromMem, fromRegs = fromRegs-c, c
+			if fromMem > m.SP {
+				flush()
+				return res, failAt(m, "stack underflow")
+			}
+			copy(args[:fromMem], m.Stack[m.SP-fromMem:m.SP])
+			m.SP -= fromMem
 		}
-		if fromMem > m.SP {
-			flush()
-			return res, failAt(m, "stack underflow")
-		}
-		copy(args[:fromMem], m.Stack[m.SP-fromMem:m.SP])
-		m.SP -= fromMem
-		copy(args[fromMem:eff.In], regs[c-fromRegs:c])
 		rem := c - fromRegs
+		for i := 0; i < fromRegs; i++ {
+			args[fromMem+i] = regs[rem+i]
+		}
 
 		nout, err := interp.Apply(m, ins, args[:eff.In], outs[:], m.SP+rem)
 		if err != nil {
@@ -172,9 +258,11 @@ func RunOn(m *interp.Machine, pol core.MinimalPolicy) (*Result, error) {
 		}
 
 		newDepth := rem + nout
-		if newDepth <= pol.NRegs && newDepth == tr.NewDepth {
+		if newDepth == tr.NewDepth {
 			// Fast path: results go straight on top of the survivors.
-			copy(regs[rem:], outs[:nout])
+			for i := 0; i < nout; i++ {
+				regs[rem+i] = outs[i]
+			}
 			c = newDepth
 		} else {
 			// Overflow (or a followup state below capacity): build the
@@ -201,6 +289,15 @@ func RunOn(m *interp.Machine, pol core.MinimalPolicy) (*Result, error) {
 		}
 	}
 }
+
+// effects is vm's effect table, read in place by the loop instead of
+// copied out of vm.EffectOf at every step.
+var effects = func() (t [vm.NumOpcodes]vm.Effect) {
+	for op := range t {
+		t[op] = vm.EffectOf(vm.Opcode(op))
+	}
+	return t
+}()
 
 func failAt(m *interp.Machine, msg string) error {
 	// m.PC can point out of range when a failure is reported after a

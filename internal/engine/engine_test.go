@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -236,5 +237,62 @@ func TestTracedVisitsEveryInstruction(t *testing.T) {
 	}
 	if visits != m.Steps {
 		t.Errorf("visited %d instructions, machine executed %d", visits, m.Steps)
+	}
+}
+
+// TestCachingEnginesConcurrentFirstRun: the first Runs of a fresh
+// dynamic-caching engine race to build its transition tables, and
+// every one of them must run on the built tables.
+func TestCachingEnginesConcurrentFirstRun(t *testing.T) {
+	engines, err := AllWith(DefaultPolicies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := compile(t, ": main 1 2 + . ;")
+	var wg sync.WaitGroup
+	for _, e := range engines {
+		if _, ok := e.(*cachingEngine); !ok {
+			continue
+		}
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m := interp.NewMachine(p)
+				if err := e.Run(m); err != nil || m.Out.String() != "3 " {
+					t.Errorf("%s: output %q, err %v", e.Name(), m.Out.String(), err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// TestCachingEnginesRunAllocs bounds the heap bytes one registry Run
+// of each dynamic-caching engine allocates on a rebound machine. The
+// organization's transition tables are built with the engine, so a
+// Run allocates only its result and its register file.
+func TestCachingEnginesRunAllocs(t *testing.T) {
+	const maxBytes, runs = 1024, 100
+	p := compile(t, ": main 1 2 + . ;")
+	m := interp.NewMachine(p)
+	for _, name := range []string{"dynamic", "rotating", "twostacks"} {
+		e, _ := Lookup(name)
+		run := func() {
+			m.Rebind(p)
+			if err := e.Run(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > maxBytes {
+			t.Errorf("%s: a Run allocates %d bytes, want at most %d", name, b, maxBytes)
+		}
 	}
 }

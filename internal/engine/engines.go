@@ -6,6 +6,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"stackcache/internal/artifact"
 	"stackcache/internal/compiled"
@@ -24,9 +25,15 @@ func init() {
 	Register("token", func(Policies) Engine { return &runFunc{"token", withFacts(interp.RunToken)} })
 	Register("threaded", func(Policies) Engine { return &runFunc{"threaded", withFacts(interp.RunThreaded)} })
 	Register("traced", func(Policies) Engine { return Traced(nil) })
-	Register("dynamic", func(p Policies) Engine { return dynamicEngine{p.Dynamic} })
-	Register("rotating", func(p Policies) Engine { return rotatingEngine{p.Rotating} })
-	Register("twostacks", func(p Policies) Engine { return twoStacksEngine{p.TwoStacks} })
+	Register("dynamic", func(p Policies) Engine {
+		return &cachingEngine{name: "dynamic", build: func() (*dyncache.Org, error) { return dyncache.New(p.Dynamic) }}
+	})
+	Register("rotating", func(p Policies) Engine {
+		return &cachingEngine{name: "rotating", build: func() (*dyncache.Org, error) { return dyncache.New(p.Rotating) }}
+	})
+	Register("twostacks", func(p Policies) Engine {
+		return &cachingEngine{name: "twostacks", build: func() (*dyncache.Org, error) { return dyncache.NewTwoStacks(p.TwoStacks) }}
+	})
 	Register("static", func(p Policies) Engine { return &staticEngine{pol: p.Static} })
 	Register("gendyn", func(Policies) Engine { return &runFunc{"gendyn", gendyn.Run} })
 	Register("gendyn4", func(Policies) Engine { return &runFunc{"gendyn4", gendyn4.Run} })
@@ -77,59 +84,31 @@ func (t *tracedEngine) Run(m *interp.Machine) error {
 	return interp.RunTracedOn(m, t.visit)
 }
 
-// dynamicEngine is dynamic stack caching, minimal organization.
-type dynamicEngine struct{ pol core.MinimalPolicy }
+// cachingEngine is one dynamic stack-caching organization. Its
+// transition tables are built once, on the engine's first Run, and
+// shared by every Run after it; a daemon whose requests never name the
+// engine does not build them.
+type cachingEngine struct {
+	name  string
+	build func() (*dyncache.Org, error)
+	once  sync.Once
+	org   *dyncache.Org
+	err   error
+}
 
-func (e dynamicEngine) Name() string { return "dynamic" }
+func (e *cachingEngine) Name() string { return e.name }
 
-func (e dynamicEngine) Run(m *interp.Machine) error {
-	_, err := dyncache.RunOn(m, e.pol)
+func (e *cachingEngine) Run(m *interp.Machine) error {
+	_, err := e.RunCounted(m)
 	return err
 }
 
-func (e dynamicEngine) RunCounted(m *interp.Machine) (core.Counters, error) {
-	res, err := dyncache.RunOn(m, e.pol)
-	if res == nil {
-		return core.Counters{}, err
+func (e *cachingEngine) RunCounted(m *interp.Machine) (core.Counters, error) {
+	e.once.Do(func() { e.org, e.err = e.build() })
+	if e.err != nil {
+		return core.Counters{}, e.err
 	}
-	return res.Counters, err
-}
-
-// rotatingEngine is dynamic stack caching with the rotating register
-// file.
-type rotatingEngine struct{ pol core.RotatingPolicy }
-
-func (e rotatingEngine) Name() string { return "rotating" }
-
-func (e rotatingEngine) Run(m *interp.Machine) error {
-	_, err := dyncache.RunRotatingOn(m, e.pol)
-	return err
-}
-
-func (e rotatingEngine) RunCounted(m *interp.Machine) (core.Counters, error) {
-	res, err := dyncache.RunRotatingOn(m, e.pol)
-	if res == nil {
-		return core.Counters{}, err
-	}
-	return res.Counters, err
-}
-
-// twoStacksEngine is dynamic stack caching with both stacks sharing
-// the register file.
-type twoStacksEngine struct{ pol dyncache.TwoStackPolicy }
-
-func (e twoStacksEngine) Name() string { return "twostacks" }
-
-func (e twoStacksEngine) Run(m *interp.Machine) error {
-	_, err := dyncache.RunTwoStacksOn(m, e.pol)
-	return err
-}
-
-func (e twoStacksEngine) RunCounted(m *interp.Machine) (core.Counters, error) {
-	res, err := dyncache.RunTwoStacksOn(m, e.pol)
-	if res == nil {
-		return core.Counters{}, err
-	}
+	res, err := e.org.Run(m)
 	return res.Counters, err
 }
 

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -299,8 +301,11 @@ func TestFig7Data(t *testing.T) {
 	}
 }
 
-// TestAllWritersProduceOutput runs every registry entry with fast
-// options and checks non-empty output.
+// TestAllWritersProduceOutput runs every registered experiment under
+// fastOpt and compares its output with testdata/<id>.golden, so a
+// change to any engine's cost accounting or to an experiment's
+// arithmetic shows as a byte difference. Fig. 7 is the only entry
+// measured in wall clock; it is checked for rows only.
 func TestAllWritersProduceOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -317,6 +322,17 @@ func TestAllWritersProduceOutput(t *testing.T) {
 		}
 		if !strings.Contains(buf.String(), "\n") {
 			t.Errorf("%s: output has no rows", e.ID)
+		}
+		if e.ID == "7" {
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", e.ID+".golden"))
+		if err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+			continue
+		}
+		if got := buf.String(); got != string(want) {
+			t.Errorf("%s differs from testdata/%s.golden:\ngot\n%s\nwant\n%s", e.ID, e.ID, got, want)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"strconv"
-
 	"stackcache/internal/artifact"
 	"stackcache/internal/forth"
 	"stackcache/internal/vm"
@@ -18,19 +16,16 @@ func CacheKey(src string, opt forth.Options) string {
 
 // newStore builds the service's program cache: one artifact.Store
 // bounded to cfg.CacheSize units, with the disk tier at cfg.CacheDir
-// when set.
+// when set. Compile options are in the source hash already; the
+// store's default fingerprint adds quickening and optimization, so a
+// -quicken=false or -optimize=false restart is not served rewritten
+// units.
 func newStore(cfg Config) *artifact.Store {
 	return artifact.NewStore(artifact.Config{
 		MaxUnits: cfg.CacheSize,
 		Dir:      cfg.CacheDir,
 		Quicken:  cfg.Quicken,
 		Optimize: cfg.Optimize,
-		// The fingerprint completes the key: compile options are in
-		// the source hash already, quickening and optimization are
-		// not — and a -quicken=false or -optimize=false restart must
-		// not be served rewritten units.
-		Fingerprint: "quicken=" + strconv.FormatBool(cfg.Quicken) +
-			",optimize=" + strconv.FormatBool(cfg.Optimize),
 	})
 }
 

@@ -141,7 +141,7 @@ func TestOptimizeBatchResponse(t *testing.T) {
 // legitimately served unoptimized — pinned here so a silent relaxation
 // of the Proved gate shows up as a test failure.
 func TestOptimizeObservablyEquivalent(t *testing.T) {
-	plain := mustService(t)
+	engines, plain := plainRuns(t)
 	opt := mustService(t, func(c *Config) { c.Optimize = true })
 
 	// Recursion makes stack depth unbounded, so vm.Analyze cannot prove
@@ -150,32 +150,9 @@ func TestOptimizeObservablyEquivalent(t *testing.T) {
 
 	for _, w := range workloads.All() {
 		compile(t, opt, w.Source)
-		for _, e := range plain.Engines() {
-			req := Request{Source: w.Source, Engine: e}
-			a, err := plain.Run(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s/%s plain: %v", w.Name, e, err)
-			}
-			b, err := opt.Run(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s/%s optimized: %v", w.Name, e, err)
-			}
-			if a.Output != b.Output {
-				t.Errorf("%s/%s: output diverged (%d vs %d bytes)", w.Name, e, len(a.Output), len(b.Output))
-			}
-			if a.StackDepth != b.StackDepth {
-				t.Errorf("%s/%s: stack depth %d vs %d", w.Name, e, a.StackDepth, b.StackDepth)
-			}
-			for i := range a.Stack {
-				if a.Stack[i] != b.Stack[i] {
-					t.Errorf("%s/%s: stack[%d] %d vs %d", w.Name, e, i, a.Stack[i], b.Stack[i])
-					break
-				}
-			}
-			if b.Steps > a.Steps {
-				t.Errorf("%s/%s: optimized run took %d steps, source %d — validator promises no more",
-					w.Name, e, b.Steps, a.Steps)
-			}
+		for _, e := range engines {
+			b, err := opt.Run(context.Background(), Request{Source: w.Source, Engine: e})
+			sameRun(t, w.Name+"/"+e, "optimized", plain[plainKey{w.Name, e}], b, err)
 			if recursive[w.Name] && b.Optimized {
 				t.Errorf("%s/%s: recursive workload marked optimized; the Proved gate must refuse it", w.Name, e)
 			}

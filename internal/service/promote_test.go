@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"slices"
 	"sync"
@@ -9,7 +10,6 @@ import (
 	"testing"
 
 	"stackcache/internal/artifact"
-	"stackcache/internal/engine"
 	"stackcache/internal/workloads"
 )
 
@@ -150,32 +150,95 @@ func TestConcurrentPromotion(t *testing.T) {
 	}
 }
 
+// plainKey names one paper workload on one engine.
+type plainKey struct{ workload, engine string }
+
+// plainBaseline holds the plain service's run (no quickening, no
+// optimization) of every paper workload on every engine, made once per
+// test binary. The quickened, optimized and promoted builds'
+// differentials all compare with it, so none of them reruns it.
+var plainBaseline struct {
+	once    sync.Once
+	engines []string
+	runs    map[plainKey]*Response
+	err     error
+}
+
+// plainRuns returns the engines and the plain runs, making them on
+// first use.
+func plainRuns(t *testing.T) ([]string, map[plainKey]*Response) {
+	t.Helper()
+	b := &plainBaseline
+	b.once.Do(func() {
+		s, err := New(Config{Workers: 4, QueueDepth: 256, CacheSize: 32})
+		if err != nil {
+			b.err = err
+			return
+		}
+		defer s.Close()
+		b.engines = s.Engines()
+		b.runs = make(map[plainKey]*Response)
+		for _, w := range workloads.All() {
+			for _, e := range b.engines {
+				resp, err := s.Run(context.Background(), Request{Source: w.Source, Engine: e})
+				if err != nil {
+					b.err = fmt.Errorf("%s/%s plain: %w", w.Name, e, err)
+					return
+				}
+				b.runs[plainKey{w.Name, e}] = resp
+			}
+		}
+	})
+	if b.err != nil {
+		t.Fatal(b.err)
+	}
+	return b.engines, b.runs
+}
+
+// sameRun fails t unless the run b on a build has the plain run a's
+// output, final stack, stack depth and error class, in no more steps.
+func sameRun(t *testing.T, name, build string, a, b *Response, errB error) {
+	t.Helper()
+	if b == nil {
+		t.Fatalf("%s %s: %v", name, build, errB)
+	}
+	if errB != nil || a.Output != b.Output || !slices.Equal(a.Stack, b.Stack) || a.StackDepth != b.StackDepth {
+		t.Errorf("%s: the %s build changed the result: %q %v vs %v %q %v",
+			name, build, a.Output, a.Stack, errB, b.Output, b.Stack)
+	}
+	if b.Steps > a.Steps {
+		t.Errorf("%s: the %s build took %d steps, the plain one %d", name, build, b.Steps, a.Steps)
+	}
+}
+
 // TestPromotionObservablyEquivalent is the contract across a
 // promotion, for every workload on every engine: the run on the full
 // build has the output, final stack and error class of the run on the
-// base build, in no more steps.
+// base build, in no more steps. Each workload's first run is on its
+// base unit, which the /compile then promotes. That run is on a
+// different engine for each workload, so every engine runs some base
+// unit, and it matches the plain run step for step; the plain runs
+// stand for the base build on the other engines.
 func TestPromotionObservablyEquivalent(t *testing.T) {
-	for _, w := range workloads.All() {
-		for _, e := range engine.Names() {
-			s := pipelineService(t, func(c *Config) { c.Workers = 1 })
-			req := Request{Source: w.Source, Engine: e}
-			a, errA := s.Run(context.Background(), req)
-			compile(t, s, w.Source)
-			b, errB := s.Run(context.Background(), req)
-			if a == nil || b == nil {
-				t.Fatalf("%s/%s: %v / %v", w.Name, e, errA, errB)
-			}
-			if a.Optimized || a.Quickened || s.Stats().Artifact.Promoted != 1 {
-				t.Fatalf("%s/%s: the first run was not on a base unit, or compile did not promote it", w.Name, e)
-			}
-			if Classify(errA) != Classify(errB) || a.Output != b.Output || !slices.Equal(a.Stack, b.Stack) || a.StackDepth != b.StackDepth {
-				t.Errorf("%s/%s: promotion changed the result: %v %q %v vs %v %q %v",
-					w.Name, e, errA, a.Output, a.Stack, errB, b.Output, b.Stack)
-			}
-			if b.Steps > a.Steps {
-				t.Errorf("%s/%s: promoted run took %d steps, base run %d", w.Name, e, b.Steps, a.Steps)
-			}
-			s.Close()
+	engines, plain := plainRuns(t)
+	ctx := context.Background()
+	for i, w := range workloads.All() {
+		s := pipelineService(t, func(c *Config) { c.Workers = 1 })
+		baseEngine := engines[i%len(engines)]
+		base, err := s.Run(ctx, Request{Source: w.Source, Engine: baseEngine})
+		compile(t, s, w.Source)
+		if base == nil || base.Optimized || base.Quickened || s.Stats().Artifact.Promoted != 1 {
+			t.Fatalf("%s/%s: the first run was not on a base unit, or compile did not promote it (%v)", w.Name, baseEngine, err)
 		}
+		a := plain[plainKey{w.Name, baseEngine}]
+		sameRun(t, w.Name+"/"+baseEngine, "base", a, base, err)
+		if base.Steps != a.Steps {
+			t.Errorf("%s/%s: base steps %d vs plain %d", w.Name, baseEngine, base.Steps, a.Steps)
+		}
+		for _, e := range engines {
+			b, err := s.Run(ctx, Request{Source: w.Source, Engine: e})
+			sameRun(t, w.Name+"/"+e, "promoted", plain[plainKey{w.Name, e}], b, err)
+		}
+		s.Close()
 	}
 }

@@ -87,33 +87,15 @@ func TestQuickenDisabledByDefault(t *testing.T) {
 // quickened service and an unquickened one agree on output, final
 // stack, exact step count and analysis verdict.
 func TestQuickenObservablyEquivalent(t *testing.T) {
-	plain := mustService(t)
+	engines, plain := plainRuns(t)
 	quick := mustService(t, func(c *Config) { c.Quicken = true })
 
 	for _, w := range workloads.All() {
 		compile(t, quick, w.Source)
-		for _, e := range plain.Engines() {
-			req := Request{Source: w.Source, Engine: e}
-			a, err := plain.Run(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s/%s plain: %v", w.Name, e, err)
-			}
-			b, err := quick.Run(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s/%s quickened: %v", w.Name, e, err)
-			}
-			if a.Output != b.Output {
-				t.Errorf("%s/%s: output diverged (%d vs %d bytes)", w.Name, e, len(a.Output), len(b.Output))
-			}
-			if a.StackDepth != b.StackDepth {
-				t.Errorf("%s/%s: stack depth %d vs %d", w.Name, e, a.StackDepth, b.StackDepth)
-			}
-			for i := range a.Stack {
-				if a.Stack[i] != b.Stack[i] {
-					t.Errorf("%s/%s: stack[%d] %d vs %d", w.Name, e, i, a.Stack[i], b.Stack[i])
-					break
-				}
-			}
+		for _, e := range engines {
+			a := plain[plainKey{w.Name, e}]
+			b, err := quick.Run(context.Background(), Request{Source: w.Source, Engine: e})
+			sameRun(t, w.Name+"/"+e, "quickened", a, b, err)
 			if a.Steps != b.Steps {
 				t.Errorf("%s/%s: steps %d vs %d (fused execution must count one step per constituent)",
 					w.Name, e, a.Steps, b.Steps)

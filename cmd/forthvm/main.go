@@ -107,8 +107,8 @@ func main() {
 		Quicken:  *quicken,
 		Optimize: *optimize,
 	})
-	unit, outcome, err := store.GetOrBuild(
-		"src:"+artifact.SourceHash(opts.CacheKey(), src),
+	key, _ := artifact.SourceKey(opts.CacheKey(), src)
+	unit, outcome, err := store.GetOrBuild(key,
 		func() (*vm.Program, error) { return forth.CompileWithOptions(src, opts) },
 	)
 	if err != nil {

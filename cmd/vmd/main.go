@@ -38,6 +38,14 @@
 // with a stable "class" drawn from the service's error vocabulary,
 // mapped onto HTTP status codes (400 bad_request/compile, 422
 // runtime/limit, 429 queue_full, 503 shutdown, 504 canceled).
+//
+// A /run or /compile body is one JSON object; anything but whitespace
+// after it is a 400 bad_request. Canonical bodies (the keys above
+// without "mem", spelled exactly and given once, integer args) are
+// parsed directly in one pass, and the rest go through encoding/json,
+// which gives the same request or the same error for any body. The
+// /run success body is written as encoding/json writes it, byte for
+// byte (wire.go).
 package main
 
 import (
@@ -50,37 +58,18 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
 	"stackcache/internal/engine"
 	"stackcache/internal/forth"
 	"stackcache/internal/service"
-	"stackcache/internal/vm"
 )
 
 // maxBodyBytes bounds request bodies; programs are source text, not
 // uploads.
 const maxBodyBytes = 1 << 20
-
-// runResponse is the /run wire form: the service's response as is,
-// plus its batch results.
-type runResponse struct {
-	*service.Response
-	Results []inputResult `json:"results,omitempty"` // batch requests only, in input order
-}
-
-// inputResult is one input's outcome within a batch response. Inputs
-// are isolated: "class" is "ok" on success, and a failing input's
-// class/error ride here while the rest of the batch still executes.
-type inputResult struct {
-	Output     string    `json:"output"`
-	Stack      []vm.Cell `json:"stack"`
-	StackDepth int       `json:"stack_depth"`
-	Steps      int64     `json:"steps"`
-	Class      string    `json:"class"`
-	Error      string    `json:"error,omitempty"`
-}
 
 type compileResponse struct {
 	Key      string `json:"key"`
@@ -132,15 +121,15 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, statusFor(class), errorResponse{Class: class.String(), Error: err.Error()})
 }
 
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// decode reads a POST body into req through c (wire.go), answering
+// anything else with 405 and a body that does not decode with 400.
+func decode(w http.ResponseWriter, r *http.Request, c *wire, req *service.Request) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed,
 			errorResponse{Class: service.ClassBadRequest.String(), Error: "POST only"})
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := c.decodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), req); err != nil {
 		writeJSON(w, http.StatusBadRequest,
 			errorResponse{Class: service.ClassBadRequest.String(), Error: "bad JSON: " + err.Error()})
 		return false
@@ -149,12 +138,14 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // handleRun decodes the body straight into a service.Request and
-// encodes the service.Response, adding only the batch results' wire
-// form. A batch that was executed is 200 whatever its inputs did:
-// per-input failures are results, reported input by input.
+// encodes the service.Response with its batch results, in one write.
+// A batch that was executed is 200 whatever its inputs did: per-input
+// failures are results, reported input by input.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
+	c := wires.Get().(*wire)
+	defer c.release()
 	var req service.Request
-	if !decode(w, r, &req) {
+	if !decode(w, r, c, &req) {
 		return
 	}
 	resp, err := s.svc.Run(r.Context(), req)
@@ -162,26 +153,21 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	out := runResponse{Response: resp}
-	for _, ir := range resp.Results {
-		res := inputResult{
-			Output:     ir.Output,
-			Stack:      ir.Stack,
-			StackDepth: ir.StackDepth,
-			Steps:      ir.Steps,
-			Class:      ir.Class().String(),
-		}
-		if ir.Err != nil {
-			res.Error = ir.Err.Error()
-		}
-		out.Results = append(out.Results, res)
+	c.buf = appendRunResponse(c.buf[:0], resp)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(c.buf)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(c.buf); err != nil {
+		log.Printf("vmd: write response: %v", err)
 	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *server) handleCompile(w http.ResponseWriter, r *http.Request) {
+	c := wires.Get().(*wire)
+	defer c.release()
 	var req service.Request
-	if !decode(w, r, &req) {
+	if !decode(w, r, c, &req) {
 		return
 	}
 	key, hit, err := s.svc.Compile(req.Source)

@@ -67,6 +67,14 @@ func TestRunWireBytes(t *testing.T) {
 		body:   `{"source": ": main 1 ;", "inputs": [{"bogus": 1}]}`,
 		status: http.StatusBadRequest,
 		want:   `{"class":"bad_request","error":"bad JSON: json: unknown field \"bogus\""}`,
+	}, {
+		body:   `{"source": ": main 1 . ;"}{"source": ": main 2 . ;"}`,
+		status: http.StatusBadRequest,
+		want:   `{"class":"bad_request","error":"bad JSON: invalid character '{' after top-level value"}`,
+	}, {
+		body:   `{"source": ": main 1 . ;"} junk`,
+		status: http.StatusBadRequest,
+		want:   `{"class":"bad_request","error":"bad JSON: invalid character 'j' after top-level value"}`,
 	}}
 	for _, c := range cases {
 		if c.compile {

@@ -150,11 +150,42 @@ func (u *Unit) Prepared(key string, build func() (any, error)) (any, error) {
 // directory (and vice versa) when their options and quicken settings
 // agree.
 func SourceHash(optKey, src string) string {
-	h := sha256.New()
-	h.Write([]byte(optKey))
-	h.Write([]byte{0})
-	h.Write([]byte(src))
-	return hex.EncodeToString(h.Sum(nil))
+	var b [2 * sha256.Size]byte
+	return string(appendSourceHash(b[:0], optKey, src))
+}
+
+// sourcePrefix marks a store key as a source program's.
+const sourcePrefix = "src:"
+
+// SourceKey returns the store key the service and forthvm cache a
+// source program under, "src:" followed by SourceHash(optKey, src),
+// and that hash, which is the key's suffix: both strings share one
+// allocation.
+func SourceKey(optKey, src string) (key, hash string) {
+	var b [len(sourcePrefix) + 2*sha256.Size]byte
+	key = string(appendSourceHash(append(b[:0], sourcePrefix...), optKey, src))
+	return key, key[len(sourcePrefix):]
+}
+
+// maxPooledHashInput bounds the hash inputs hashInputs keeps, so one
+// large source does not pin its copy.
+const maxPooledHashInput = 64 << 10
+
+// hashInputs holds the buffers appendSourceHash lays a hash's input
+// out in, so sha256.Sum256 hashes it in one call without a conversion
+// of the strings or a heap-allocated digest.
+var hashInputs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendSourceHash appends SourceHash(optKey, src) to dst.
+func appendSourceHash(dst []byte, optKey, src string) []byte {
+	in := hashInputs.Get().(*[]byte)
+	buf := append(append(append((*in)[:0], optKey...), 0), src...)
+	sum := sha256.Sum256(buf)
+	if cap(buf) <= maxPooledHashInput {
+		*in = buf
+		hashInputs.Put(in)
+	}
+	return hex.AppendEncode(dst, sum[:])
 }
 
 // maxIdentity bounds the program-pointer index. Programs are interned

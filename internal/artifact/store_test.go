@@ -1,6 +1,8 @@
 package artifact
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -398,5 +400,29 @@ func TestSourceHashMatchesLayout(t *testing.T) {
 	// The separator prevents (optKey, src) boundary ambiguity.
 	if SourceHash("ab", "c") == SourceHash("a", "bc") {
 		t.Error("boundary ambiguity in SourceHash")
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go), whose
+// sync.Pool drops pooled values at random.
+var raceEnabled bool
+
+// TestSourceKeyOneAllocation pins the cache key's bytes, which name
+// disk-tier entries, to hex SHA-256 of (options, NUL, source), and its
+// cost to one allocation for the store key and the hash together.
+func TestSourceKeyOneAllocation(t *testing.T) {
+	src := ": main 60 emit 62 emit 38 emit ;\n: unused 1 2 + ;"
+	h := sha256.New()
+	h.Write([]byte("opts\x00" + src))
+	want := hex.EncodeToString(h.Sum(nil))
+	key, hash := SourceKey("opts", src)
+	if hash != want || key != "src:"+want || SourceHash("opts", src) != want {
+		t.Fatalf("SourceKey = %q, %q; SourceHash = %q; want hash %q", key, hash, SourceHash("opts", src), want)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled hash inputs under the race detector")
+	}
+	if n := testing.AllocsPerRun(100, func() { SourceKey("opts", src) }); n != 1 {
+		t.Errorf("SourceKey allocates %v times, want 1", n)
 	}
 }

@@ -41,7 +41,7 @@ func newStore(cfg Config) *artifact.Store {
 // (a unit served from the disk tier was counted by the process that
 // built it).
 func (s *Service) lookup(src string, full bool) (key string, u *artifact.Unit, hit bool, err error) {
-	key = artifact.SourceHash(s.optKey, src)
+	storeKey, key := artifact.SourceKey(s.optKey, src)
 	produce := func() (*vm.Program, error) {
 		if s.onCompile != nil {
 			s.onCompile(src)
@@ -50,9 +50,9 @@ func (s *Service) lookup(src string, full bool) (key string, u *artifact.Unit, h
 	}
 	var outcome artifact.Outcome
 	if full {
-		u, outcome, err = s.store.GetOrBuild("src:"+key, produce)
+		u, outcome, err = s.store.GetOrBuild(storeKey, produce)
 	} else {
-		u, outcome, err = s.store.GetOrBuildBase("src:"+key, produce)
+		u, outcome, err = s.store.GetOrBuildBase(storeKey, produce)
 	}
 	switch {
 	case err != nil:

@@ -241,7 +241,7 @@ func TestCacheHitRunAllocs(t *testing.T) {
 	if _, err := s.Run(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	const maxAllocs = 11
+	const maxAllocs = 7
 	n := testing.AllocsPerRun(200, func() {
 		if _, err := s.Run(context.Background(), req); err != nil {
 			t.Fatal(err)
